@@ -3,11 +3,15 @@
 Measures, on the synthetic DBLP fixture:
 
 * data-graph build time and exact memory bytes (CSR layout);
-* complete-OS generation throughput — legacy ``generate_os`` (one OSNode
-  per tuple) vs the columnar ``generate_os_flat`` hot path, same subjects,
-  same run;
-* size-l latency of dp / bottom_up / top_path / top_path_optimized over
-  both representations (the selections are asserted identical first).
+* complete-OS generation throughput — the node-based reference generator
+  (``tests/oracles.py``: one OSNode per tuple) vs the columnar
+  ``generate_os_flat`` hot path, same subjects, same run;
+* prelim-l generation (Algorithm 4) at l = 20 — the node-based reference
+  vs the FlatOS-emitting ``generate_prelim_os`` the default keyword query
+  runs, same subjects, same run;
+* size-l latency of dp / bottom_up / top_path / top_path_optimized on the
+  FlatOS vs the node-based reference bodies (the trees and selections are
+  asserted identical first).
 
 Results are written as JSON (default: ``BENCH_core.json`` at the repo
 root) under a per-mode key, so one file can hold both the ``full`` run
@@ -15,7 +19,7 @@ root) under a per-mode key, so one file can hold both the ``full`` run
 ``quick`` run (the CI smoke gate's baseline).
 
 ``--check BASELINE.json`` is the CI regression gate: it compares this
-run's flat-vs-legacy generation *speedup* against the same mode's
+run's complete-OS flat-vs-legacy generation *speedup* against the same mode's
 committed speedup and fails (exit 1) when the current value has dropped
 below half of it.  The gate is a within-run ratio rather than absolute
 seconds because both paths run on the same machine in the same process —
@@ -38,29 +42,33 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for _path in (REPO_ROOT / "src", REPO_ROOT):  # repro, and tests.oracles
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np  # noqa: E402
 
-from repro.core.bottom_up import bottom_up_size_l  # noqa: E402
-from repro.core.dp import optimal_size_l  # noqa: E402
 from repro.core.engine import SizeLEngine  # noqa: E402
-from repro.core.top_path import top_path_size_l  # noqa: E402
+from repro.core.generation import DataGraphBackend  # noqa: E402
+from repro.core.registry import get_algorithm  # noqa: E402
 from repro.datagraph.builder import timed_build  # noqa: E402
 from repro.datasets.dblp import DBLPConfig, generate_dblp  # noqa: E402
 from repro.ranking.objectrank import compute_objectrank  # noqa: E402
+from tests.oracles import (  # noqa: E402
+    ORACLE_ALGORITHMS,
+    assert_same_selection,
+    assert_same_tree,
+    generate_os_nodes,
+    generate_prelim_os_nodes,
+)
 
 SCHEMA_VERSION = 1
 SIZE_L = 20
 
+#: report name -> (FlatOS algorithm, node-based reference body)
 ALGORITHMS = {
-    "dp": lambda tree, l: optimal_size_l(tree, l),
-    "bottom_up": lambda tree, l: bottom_up_size_l(tree, l),
-    "top_path": lambda tree, l: top_path_size_l(tree, l),
-    "top_path_optimized": lambda tree, l: top_path_size_l(
-        tree, l, variant="optimized"
-    ),
+    registered: (get_algorithm(registered), oracle)
+    for _name, registered, oracle in ORACLE_ALGORITHMS
 }
 
 
@@ -98,39 +106,58 @@ def run_mode(quick: bool) -> dict:
         int(row) for row in np.argsort(store.array("author"))[::-1][:n_subjects]
     ]
 
+    gds = engine.gds_for("author")
+    backend = DataGraphBackend(engine.db, graph)
+
+    def legacy_os(subject: int):
+        return generate_os_nodes(subject, gds, backend, store)
+
+    def legacy_prelim(subject: int):
+        return generate_prelim_os_nodes(subject, gds, backend, store, SIZE_L)
+
     # Sanity before timing anything: the two representations must agree.
     for subject in subjects:
-        legacy = engine.complete_os("author", subject)
+        legacy = legacy_os(subject)
         flat = engine.complete_os_flat("author", subject)
-        assert flat.size == legacy.size
-        for name, algo in ALGORITHMS.items():
-            a = algo(legacy, SIZE_L)
-            b = algo(flat, SIZE_L)
-            assert a.selected_uids == b.selected_uids, (name, subject)
-            assert abs(a.importance - b.importance) <= 1e-9 * max(
-                1.0, abs(a.importance)
-            ), (name, subject)
+        assert_same_tree(flat, legacy)
+        legacy_p, legacy_stats = legacy_prelim(subject)
+        flat_p, flat_stats = engine.prelim_os("author", subject, SIZE_L)
+        assert_same_tree(flat_p, legacy_p)
+        assert flat_stats == legacy_stats, subject
+        for flat_algo, legacy_algo in ALGORITHMS.values():
+            assert_same_selection(flat_algo(flat, SIZE_L), legacy_algo(legacy, SIZE_L))
 
     total_nodes = sum(engine.complete_os_flat("author", s).size for s in subjects)
+    prelim_nodes = sum(engine.prelim_os("author", s, SIZE_L)[0].size for s in subjects)
 
     def generate_legacy() -> None:
         for subject in subjects:
-            engine.complete_os("author", subject)
+            legacy_os(subject)
 
     def generate_flat() -> None:
         for subject in subjects:
             engine.complete_os_flat("author", subject)
 
+    def prelim_legacy() -> None:
+        for subject in subjects:
+            legacy_prelim(subject)
+
+    def prelim_flat() -> None:
+        for subject in subjects:
+            engine.prelim_os("author", subject, SIZE_L)
+
     legacy_seconds = _best_of(generate_legacy, repeats)
     flat_seconds = _best_of(generate_flat, repeats)
+    prelim_legacy_seconds = _best_of(prelim_legacy, repeats)
+    prelim_flat_seconds = _best_of(prelim_flat, repeats)
 
     largest = subjects[0]
-    legacy_tree = engine.complete_os("author", largest)
+    legacy_tree = legacy_os(largest)
     flat_tree = engine.complete_os_flat("author", largest)
     algorithms = {}
-    for name, algo in ALGORITHMS.items():
-        algo_legacy = _best_of(lambda a=algo: a(legacy_tree, SIZE_L), repeats)
-        algo_flat = _best_of(lambda a=algo: a(flat_tree, SIZE_L), repeats)
+    for name, (flat_algo, legacy_algo) in ALGORITHMS.items():
+        algo_legacy = _best_of(lambda a=legacy_algo: a(legacy_tree, SIZE_L), repeats)
+        algo_flat = _best_of(lambda a=flat_algo: a(flat_tree, SIZE_L), repeats)
         algorithms[name] = {
             "l": SIZE_L,
             "legacy_seconds": algo_legacy,
@@ -160,6 +187,13 @@ def run_mode(quick: bool) -> dict:
             "legacy_nodes_per_second": total_nodes / legacy_seconds,
             "flat_nodes_per_second": total_nodes / flat_seconds,
         },
+        "prelim_os_generation": {
+            "l": SIZE_L,
+            "total_os_nodes": prelim_nodes,
+            "legacy_seconds": prelim_legacy_seconds,
+            "flat_seconds": prelim_flat_seconds,
+            "speedup": prelim_legacy_seconds / prelim_flat_seconds,
+        },
         "size_l": algorithms,
     }
 
@@ -182,6 +216,13 @@ def print_report(mode: str, result: dict) -> None:
         f"flat {gen['flat_seconds'] * 1000:.1f} ms  "
         f"-> {gen['speedup']:.1f}x "
         f"({gen['flat_nodes_per_second']:,.0f} nodes/s)"
+    )
+    prelim = result["prelim_os_generation"]
+    print(
+        f"prelim-{prelim['l']} generation: legacy "
+        f"{prelim['legacy_seconds'] * 1000:.1f} ms, flat "
+        f"{prelim['flat_seconds'] * 1000:.1f} ms  -> {prelim['speedup']:.2f}x "
+        f"({prelim['total_os_nodes']} nodes)"
     )
     for name, algo in result["size_l"].items():
         print(

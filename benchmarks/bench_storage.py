@@ -193,7 +193,10 @@ def bench_warm_qps(session, subjects: int) -> tuple[dict, bool]:
     Generation runs at the engine level (the Session's summary cache
     would otherwise absorb every repeat), over *subjects* author rows
     spread across the table, so every backend executes its real tuple
-    fetches and FK joins each iteration.
+    fetches and FK joins each iteration.  Each backend is timed through
+    the generator that serves it: ``datagraph`` the level-synchronous
+    ``generate_os_flat``, ``database`` and ``sqlite`` the per-parent
+    ``generate_os``.
     """
     engine = session.engine
     authors = len(engine.db.table("author"))
@@ -203,7 +206,9 @@ def bench_warm_qps(session, subjects: int) -> tuple[dict, bool]:
     identical = True
     for backend in ("datagraph", "database", "sqlite"):
         renders = [
-            engine.complete_os("author", row, backend=backend).render()
+            engine.complete_os("author", row, backend=backend)
+            .to_object_summary()
+            .render()
             for row in rows  # warm up + verify
         ]
         if expected is None:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.engine import SizeLEngine
-from repro.core.os_tree import ObjectSummary
+from repro.core.os_tree import FlatOS
 from repro.util.rng import derive_rng
 
 # Git-ignored scratch area (see .gitignore): every emit() lands here, so
@@ -99,7 +99,7 @@ def sample_subjects(
 
 def os_pairs(
     engine: SizeLEngine, rds_table: str, row_ids: list[int], prelim_l: int
-) -> list[tuple[ObjectSummary, ObjectSummary]]:
+) -> list[tuple[FlatOS, FlatOS]]:
     """(complete OS, prelim-l OS) pairs for the quality/efficiency drivers."""
     pairs = []
     for row_id in row_ids:
@@ -109,5 +109,5 @@ def os_pairs(
     return pairs
 
 
-def mean_os_size(pairs: list[tuple[ObjectSummary, ObjectSummary]]) -> float:
+def mean_os_size(pairs: list[tuple[FlatOS, FlatOS]]) -> float:
     return float(np.mean([complete.size for complete, _prelim in pairs]))

@@ -38,7 +38,7 @@ def main() -> None:
     print("=" * 72)
     print(f"Example 4 - the complete OS ({complete.size} tuples; first 12 shown)")
     print("=" * 72)
-    print(complete.render(max_nodes=12))
+    print(complete.to_object_summary().render(max_nodes=12))
 
     print()
     print("=" * 72)

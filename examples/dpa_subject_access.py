@@ -44,7 +44,7 @@ def main() -> None:
     print(f"  records found      : {report.size} tuples")
     print()
     print("Complete report (first 15 records):")
-    print(report.render(max_nodes=15))
+    print(report.to_object_summary().render(max_nodes=15))
 
     # Deliverable: the subject's own rows, exported as CSV.
     out_dir = Path(tempfile.mkdtemp(prefix="dpa_report_"))

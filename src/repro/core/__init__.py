@@ -2,7 +2,8 @@
 
 Modules:
 
-* :mod:`repro.core.os_tree` — the OS tree structure (tuple occurrences) and
+* :mod:`repro.core.os_tree` — the columnar OS (:class:`FlatOS`, one row
+  per tuple occurrence), its :class:`ObjectSummary` render view, and
   size-l results;
 * :mod:`repro.core.generation` — Algorithm 5 (complete OS generation) over
   two backends: the in-memory data graph and direct database queries;

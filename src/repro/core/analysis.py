@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.dp import optimal_size_l
-from repro.core.os_tree import ObjectSummary, validate_l
+from repro.core.os_tree import FlatOS, validate_l
 
 
 def optimal_family(
-    os_tree: ObjectSummary, max_l: int, min_l: int = 1
+    os_tree: FlatOS, max_l: int, min_l: int = 1
 ) -> dict[int, set[int]]:
     """The optimal size-l selection for every l in [min_l, max_l].
 
@@ -133,7 +133,7 @@ def stability_profile(family: dict[int, set[int]]) -> StabilityProfile:
 
 
 def incremental_failure_example(
-    os_tree: ObjectSummary, max_l: int
+    os_tree: FlatOS, max_l: int
 ) -> tuple[int, set[int], set[int]] | None:
     """Find a concrete (l, S*_{l-1}, S*_l) witnessing a nesting break.
 

@@ -16,71 +16,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.os_tree import FlatOS, ObjectSummary, SizeLResult, validate_l
+from repro.core.os_tree import FlatOS, SizeLResult, validate_l
 from repro.reliability.deadline import CHECK_MASK, check_deadline
 from repro.util.heaps import KeyedMinHeap
 
 
-def bottom_up_size_l(
-    os_tree: ObjectSummary | FlatOS, l: int  # noqa: E741
-) -> SizeLResult:
+def bottom_up_size_l(flat: FlatOS, l: int) -> SizeLResult:  # noqa: E741
     """Compute a size-l OS by pruning the least-important leaves.
 
-    Accepts either representation; a columnar
-    :class:`~repro.core.os_tree.FlatOS` runs over parallel arrays (same
-    heap, same insertion order, identical selections).
+    The depth-< l filter (footnote 1) is an array prefix, eligible-child
+    counts come from one vectorized subtraction, and leaf weights are
+    list lookups; heap ties break by insertion order, which is ascending
+    index order for the initial leaves.
     """
     validate_l(l)
-    if isinstance(os_tree, FlatOS):
-        return _bottom_up_size_l_flat(os_tree, l)
-    # Depth filter (footnote 1): nodes at depth >= l can never participate.
-    alive = {node.uid for node in os_tree.nodes if node.depth < l}
-    child_count = {
-        node.uid: sum(1 for c in node.children if c.uid in alive)
-        for node in os_tree.nodes
-        if node.uid in alive
-    }
-
-    heap: KeyedMinHeap[int] = KeyedMinHeap()
-    root_uid = os_tree.root.uid
-    for node in os_tree.nodes:
-        if node.uid in alive and child_count[node.uid] == 0 and node.uid != root_uid:
-            heap.push(node.uid, node.weight)
-
-    dequeues = 0
-    enqueues = len(heap)
-    while len(alive) > l:
-        uid, _score = heap.pop()
-        dequeues += 1
-        if dequeues & CHECK_MASK == 0:
-            check_deadline()
-        alive.discard(uid)
-        parent = os_tree.node(uid).parent
-        assert parent is not None  # the root is never pushed
-        child_count[parent.uid] -= 1
-        if child_count[parent.uid] == 0 and parent.uid != root_uid:
-            heap.push(parent.uid, parent.weight)
-            enqueues += 1
-
-    summary = os_tree.materialise_subset(alive)
-    return SizeLResult(
-        summary=summary,
-        selected_uids=alive,
-        importance=summary.total_importance(),
-        algorithm="bottom_up",
-        l=l,
-        stats={"heap_dequeues": dequeues, "heap_enqueues": enqueues},
-    )
-
-
-def _bottom_up_size_l_flat(flat: FlatOS, l: int) -> SizeLResult:  # noqa: E741
-    """Bottom-Up Pruning over :class:`FlatOS` parallel arrays.
-
-    The depth-< l filter is an array prefix, eligible-child counts come from
-    one vectorized subtraction, and leaf weights are array lookups; the heap
-    (and therefore the pruning order, ties included) is the same as the
-    node-based version's.
-    """
     n_el = flat.eligible_count(l)
     parent = flat.parent[:n_el].tolist()
     weight = flat.weight[:n_el].tolist()

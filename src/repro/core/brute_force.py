@@ -8,7 +8,7 @@ runs it against the DP on hypothesis-generated random trees.
 
 from __future__ import annotations
 
-from repro.core.os_tree import ObjectSummary, OSNode, SizeLResult, validate_l
+from repro.core.os_tree import FlatOS, OSNode, SizeLResult, validate_l
 
 
 def _enumerate_rooted(node: OSNode, budget: int, eligible: set[int]) -> list[set[int]]:
@@ -37,21 +37,26 @@ def _enumerate_rooted(node: OSNode, budget: int, eligible: set[int]) -> list[set
     return results
 
 
-def brute_force_size_l(os_tree: ObjectSummary, l: int) -> SizeLResult:  # noqa: E741
-    """Exhaustively find an optimal size-l OS (exponential; tests only)."""
+def brute_force_size_l(flat: FlatOS, l: int) -> SizeLResult:  # noqa: E741
+    """Exhaustively find an optimal size-l OS (exponential; tests only).
+
+    Deliberately independent of the production algorithms: it walks the
+    :class:`OSNode` view of *flat* (uid == index) rather than its arrays.
+    """
     validate_l(l)
-    eligible = {node.uid for node in os_tree.nodes if node.depth < l}
+    eligible = set(range(flat.eligible_count(l)))
     target = min(l, len(eligible))
-    candidates = _enumerate_rooted(os_tree.root, target, eligible)
+    candidates = _enumerate_rooted(flat.to_object_summary().root, target, eligible)
+    weights = flat.weight.tolist()
     best_set: set[int] | None = None
     best_weight = float("-inf")
     for candidate in candidates:
-        weight = sum(os_tree.node(uid).weight for uid in candidate)
+        weight = sum(weights[uid] for uid in candidate)
         if weight > best_weight:
             best_weight = weight
             best_set = candidate
     assert best_set is not None, "a connected tree always has a BFS-prefix candidate"
-    summary = os_tree.materialise_subset(best_set)
+    summary = flat.materialise_subset(best_set)
     return SizeLResult(
         summary=summary,
         selected_uids=best_set,

@@ -22,9 +22,9 @@ The cache is **thread-safe** and is the concurrency point of the serving
 layer (:meth:`~repro.session.Session.iter_keyword_query` with
 ``workers=N`` fans queries out over it):
 
-* one lock-protected, subject-level LRU book holds a subject's legacy
-  tree, columnar tree, and memoised results together, so eviction is
-  atomic — a subject's memos can never outlive its trees or vice versa;
+* one lock-protected, subject-level LRU book holds a subject's complete
+  OS and memoised results together, so eviction is atomic — a subject's
+  memos can never outlive its tree or vice versa;
 * generation is **single-flight**: concurrent requests for the same
   subject (or the same memo key) block on one in-flight computation
   instead of duplicating the dominant cost, which is what keeps a
@@ -34,8 +34,8 @@ layer (:meth:`~repro.session.Session.iter_keyword_query` with
   miss-result) keeps ``cached=False`` forever.
 
 The cache is also where the **disk tier** plugs in
-(:meth:`SummaryCache.attach_snapshot`): on a memory miss for a columnar
-complete OS, an attached :class:`~repro.persist.snapshot.Snapshot` is
+(:meth:`SummaryCache.attach_snapshot`): on a memory miss for a complete
+OS, an attached :class:`~repro.persist.snapshot.Snapshot` is
 consulted before a generation is paid — a zero-copy ``mmap`` slice load,
 counted as ``disk_hits``/``disk_misses``/``snapshot_stale`` in
 :meth:`stats`.  ``invalidate`` masks the matching snapshot entries, so a
@@ -59,15 +59,15 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.core.engine import SizeLEngine
 from repro.core.options import Algorithm, Backend, QueryOptions, ResultStats, Source
-from repro.core.os_tree import FlatOS, ObjectSummary, SizeLResult
+from repro.core.os_tree import FlatOS, SizeLResult
 from repro.core.registry import get_algorithm
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.persist.snapshot import Snapshot
 
 #: Memo key of a size-l result:
-#: (l, algorithm, source, backend, depth_limit, flat).
-ResultKey = tuple[int, str, str, str, "int | None", bool]
+#: (l, algorithm, source, backend, depth_limit).
+ResultKey = tuple[int, str, str, str, "int | None"]
 
 #: Subject key: (R_DS table, row id).
 SubjectKey = tuple[str, int]
@@ -202,7 +202,6 @@ class CacheStats:
 class _SubjectEntry:
     """Everything the cache holds for one subject, evicted as one unit."""
 
-    tree: ObjectSummary | None = None
     flat: FlatOS | None = None
     results: dict[ResultKey, SizeLResult] = field(default_factory=dict)
 
@@ -249,11 +248,11 @@ class SummaryCache:
     """A thread-safe LRU cache of complete OSs and size-l results.
 
     ``max_subjects`` bounds the number of cached subjects; a subject's
-    trees (legacy and columnar) and its memoised size-l results live in one
-    LRU slot and are evicted together.  All bookkeeping happens under one
-    lock; generation runs outside it, deduplicated by a single-flight
-    table so each (subject, representation) and each memo key is computed
-    at most once no matter how many threads ask concurrently.
+    complete OS and its memoised size-l results live in one LRU slot and
+    are evicted together.  All bookkeeping happens under one lock;
+    generation runs outside it, deduplicated by a single-flight table so
+    each subject's tree and each memo key is computed at most once no
+    matter how many threads ask concurrently.
     """
 
     def __init__(
@@ -320,7 +319,7 @@ class SummaryCache:
     def _evict_overflow(self) -> None:
         """Drop LRU subjects until the book respects ``max_subjects``.
 
-        A subject leaves with its trees *and* memos — the unified book is
+        A subject leaves with its tree *and* memos — the unified book is
         what makes this atomic (the three-store layout this replaces could
         evict a subject's memos while its tree survived, or vice versa).
         """
@@ -426,7 +425,7 @@ class SummaryCache:
         return self._snapshot
 
     def _disk_lookup(self, subject: SubjectKey) -> FlatOS | None:
-        """Try the snapshot tier for a columnar complete OS.
+        """Try the snapshot tier for a complete OS.
 
         Runs outside the lock (the caller is the single-flight leader for
         this subject, so at most one disk load per subject is in flight).
@@ -462,30 +461,35 @@ class SummaryCache:
     # ------------------------------------------------------------------ #
     # Complete OSs
     # ------------------------------------------------------------------ #
-    def _cached_tree(
-        self, subject: SubjectKey, slot: str, generate, disk: bool = False
-    ):
-        """Shared single-flight body of complete_os / complete_os_flat."""
+    def complete_os_flat(
+        self, rds_table: str, row_id: int, *, snapshot: bool = True
+    ) -> FlatOS:
+        """The cached complete OS of a subject (generated on first use).
+
+        On a memory miss the attached snapshot is consulted before paying
+        a generation (``snapshot=False`` opts a call out and always
+        regenerates on miss — the :attr:`QueryOptions.snapshot` execution
+        knob).
+        """
+        subject = (rds_table, row_id)
 
         def lookup():
             entry = self._book.get(subject)
-            if entry is None:
+            if entry is None or entry.flat is None:
                 return None
-            value = getattr(entry, slot)
-            if value is not None:
-                self._book.move_to_end(subject)
-            return value
+            self._book.move_to_end(subject)
+            return entry.flat
 
         def compute():
-            tree = self._disk_lookup(subject) if disk else None
+            tree = self._disk_lookup(subject) if snapshot else None
             if tree is None:
-                tree = generate(*subject)
+                tree = self.engine.complete_os_flat(rds_table, row_id)
                 with self._acquire():
                     self.tree_generations += 1
             return tree
 
         def insert(tree):
-            setattr(self._touch(subject), slot, tree)
+            self._touch(subject).flat = tree
 
         # The disk flag is part of the flight key: a snapshot=False caller
         # must never ride a disk-loading leader's flight and receive the
@@ -493,30 +497,9 @@ class SummaryCache:
         # flavours may briefly duplicate work for one subject; each still
         # deduplicates within itself.
         tree, _from_cache = self._single_flight(
-            (subject, slot, disk), lookup, compute, insert
+            (subject, "flat", snapshot), lookup, compute, insert
         )
         return tree
-
-    def complete_os(self, rds_table: str, row_id: int) -> ObjectSummary:
-        """The cached complete OS of a subject (generated on first use)."""
-        return self._cached_tree((rds_table, row_id), "tree", self.engine.complete_os)
-
-    def complete_os_flat(
-        self, rds_table: str, row_id: int, *, snapshot: bool = True
-    ) -> FlatOS:
-        """The cached columnar complete OS of a subject (flat hot path).
-
-        On a memory miss the attached snapshot is consulted before paying
-        a generation (``snapshot=False`` opts a call out and always
-        regenerates on miss — the :attr:`QueryOptions.snapshot` execution
-        knob).
-        """
-        return self._cached_tree(
-            (rds_table, row_id),
-            "flat",
-            self.engine.complete_os_flat,
-            disk=snapshot,
-        )
 
     # ------------------------------------------------------------------ #
     # Size-l results
@@ -594,14 +577,8 @@ class SummaryCache:
         )
         if not reusable_tree:
             return self.engine.run(rds_table, row_id, options)
-        # normalized() canonicalized flat, so True alone means the
-        # columnar path applies to this option combination.
         gen_start = perf_counter()
-        tree: ObjectSummary | FlatOS = (
-            self.complete_os_flat(rds_table, row_id, snapshot=options.snapshot)
-            if options.flat
-            else self.complete_os(rds_table, row_id)
-        )
+        tree = self.complete_os_flat(rds_table, row_id, snapshot=options.snapshot)
         gen_seconds = perf_counter() - gen_start
         algo_start = perf_counter()
         result = algo_fn(tree, options.l)

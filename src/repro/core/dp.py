@@ -20,153 +20,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.os_tree import FlatOS, ObjectSummary, SizeLResult, validate_l
+from repro.core.os_tree import FlatOS, SizeLResult, validate_l
 from repro.reliability.deadline import CHECK_MASK, check_deadline
 
 NEG_INF = float("-inf")
-
-
-def optimal_size_l(
-    os_tree: ObjectSummary | FlatOS, l: int  # noqa: E741
-) -> SizeLResult:
-    """Compute the optimal size-l OS of *os_tree* (Lemma 1: exact).
-
-    Accepts either representation: a columnar
-    :class:`~repro.core.os_tree.FlatOS` runs the array-based DP (identical
-    selections, vectorized knapsack merges), a legacy
-    :class:`~repro.core.os_tree.ObjectSummary` the original node-based one.
-
-    When the OS has at most l reachable nodes (after the depth-< l filter),
-    all of them are returned — a size-min(l, n) OS, matching how the paper's
-    experiments handle small OSs ("the smaller the OS is in comparison to l
-    the more accurate our algorithms are"; at |OS| ≤ l every method returns
-    the whole OS).
-    """
-    validate_l(l)
-    if isinstance(os_tree, FlatOS):
-        return _optimal_size_l_flat(os_tree, l)
-    eligible = [node for node in os_tree.nodes if node.depth < l]
-    eligible_uids = {node.uid for node in eligible}
-
-    if len(eligible) <= l:
-        selected = set(eligible_uids)
-        summary = os_tree.materialise_subset(selected)
-        return SizeLResult(
-            summary=summary,
-            selected_uids=selected,
-            importance=summary.total_importance(),
-            algorithm="dp",
-            l=l,
-            stats={"cell_updates": 0, "eligible_nodes": len(eligible)},
-        )
-
-    # Subtree sizes restricted to eligible nodes.
-    sizes: dict[int, int] = {}
-    for node in reversed(eligible):  # reversed BFS = post-order
-        sizes[node.uid] = 1 + sum(
-            sizes[child.uid] for child in node.children if child.uid in eligible_uids
-        )
-
-    best: dict[int, list[float]] = {}
-    # choices[uid][k][j] = nodes allocated to the k-th eligible child when j
-    # nodes total are drawn from the first k+1 child subtrees.
-    choices: dict[int, list[list[int]]] = {}
-    eligible_children: dict[int, list] = {}
-    cell_updates = 0
-
-    for visited, node in enumerate(reversed(eligible)):
-        if visited & CHECK_MASK == 0:
-            check_deadline()  # coarse: outer per-node loop only, never the merge
-        cap = min(l - node.depth, sizes[node.uid])
-        children = [c for c in node.children if c.uid in eligible_uids]
-        eligible_children[node.uid] = children
-        # m[j]: best weight using exactly j nodes from merged child subtrees,
-        # j in [0, cap - 1] (node itself consumes one slot).
-        m = [NEG_INF] * cap
-        m[0] = 0.0
-        allocations: list[list[int]] = []
-        for child in children:
-            child_best = best[child.uid]
-            child_cap = len(child_best) - 1
-            new_m = [NEG_INF] * cap
-            alloc = [0] * cap
-            for j in range(cap):
-                best_val = m[j]  # t = 0: take nothing from this child
-                best_t = 0
-                top_t = min(j, child_cap)
-                for t in range(1, top_t + 1):
-                    prev = m[j - t]
-                    if prev == NEG_INF:
-                        continue
-                    val = prev + child_best[t]
-                    cell_updates += 1
-                    if val > best_val:
-                        best_val = val
-                        best_t = t
-                new_m[j] = best_val
-                alloc[j] = best_t
-            m = new_m
-            allocations.append(alloc)
-        best[node.uid] = [NEG_INF] + [
-            (node.weight + m[i - 1]) if m[i - 1] != NEG_INF else NEG_INF
-            for i in range(1, cap + 1)
-        ]
-        choices[node.uid] = allocations
-
-    root = os_tree.root
-    target = min(l, sizes[root.uid])
-    root_best = best[root.uid]
-    if target >= len(root_best) or root_best[target] == NEG_INF:
-        # Cannot happen on a connected tree, but guard against misuse.
-        target = max(i for i in range(1, len(root_best)) if root_best[i] != NEG_INF)
-
-    selected: set[int] = set()
-
-    def reconstruct(uid: int, count: int) -> None:
-        selected.add(uid)
-        remaining = count - 1
-        allocations = choices[uid]
-        children = eligible_children[uid]
-        # Replay the merge backwards: the k-th allocation table was computed
-        # with budget j = nodes drawn from the first k+1 children.
-        for k in range(len(children) - 1, -1, -1):
-            taken = allocations[k][remaining]
-            if taken > 0:
-                reconstruct(children[k].uid, taken)
-            remaining -= taken
-        assert remaining == 0, "DP reconstruction did not consume its budget"
-
-    reconstruct(root.uid, target)
-    summary = os_tree.materialise_subset(selected)
-    importance = summary.total_importance()
-    assert abs(importance - root_best[target]) < 1e-6 * max(1.0, abs(importance)), (
-        "DP table value disagrees with reconstructed subtree weight"
-    )
-    return SizeLResult(
-        summary=summary,
-        selected_uids=selected,
-        importance=importance,
-        algorithm="dp",
-        l=l,
-        stats={"cell_updates": cell_updates, "eligible_nodes": len(eligible)},
-    )
-
 
 #: Budget-axis width above which the knapsack merge switches from scalar
 #: Python (faster for the tiny tables typical of l <= ~50) to numpy slices.
 _VECTOR_MERGE_MIN_CAP = 64
 
 
-def _optimal_size_l_flat(flat: FlatOS, l: int) -> SizeLResult:  # noqa: E741
-    """The DP over :class:`FlatOS` parallel arrays.
+def optimal_size_l(flat: FlatOS, l: int) -> SizeLResult:  # noqa: E741
+    """Compute the optimal size-l OS of *flat* (Lemma 1: exact).
 
-    Same recurrence and tie-breaking as the node-based version (children
-    folded in ascending index order, strictly-better-only updates).  All
-    tree-shaped precomputation (eligible prefix, subtree sizes, child
-    ranges, caps) is vectorized; the per-node knapsack merge runs over flat
-    Python lists for small budgets — numpy call overhead dominates below
-    ~64 cells — and switches to vectorized slice updates for large ones.
+    When the OS has at most l reachable nodes (after the depth-< l filter),
+    all of them are returned — a size-min(l, n) OS, matching how the paper's
+    experiments handle small OSs ("the smaller the OS is in comparison to l
+    the more accurate our algorithms are"; at |OS| ≤ l every method returns
+    the whole OS).
+
+    Children are folded in ascending index order with strictly-better-only
+    updates.  All tree-shaped precomputation (eligible prefix, subtree
+    sizes, child ranges, caps) is vectorized; the per-node knapsack merge
+    runs over flat Python lists for small budgets — numpy call overhead
+    dominates below :data:`_VECTOR_MERGE_MIN_CAP` cells — and switches to
+    vectorized slice updates for large ones.
     """
+    validate_l(l)
     n_el = flat.eligible_count(l)  # eligible (depth < l) nodes are a prefix
 
     if n_el <= l:

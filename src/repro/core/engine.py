@@ -37,7 +37,7 @@ from repro.core.options import (
     Source,
     resolve_options,
 )
-from repro.core.os_tree import FlatOS, ObjectSummary, SizeLResult, validate_l
+from repro.core.os_tree import FlatOS, SizeLResult, validate_l
 from repro.core.prelim import PrelimStats, generate_prelim_os
 from repro.core.registry import get_algorithm, get_backend_factory
 from repro.datagraph.builder import build_data_graph
@@ -188,13 +188,22 @@ class SizeLEngine:
         row_id: int,
         backend: str | Backend = Backend.DATAGRAPH,
         depth_limit: int | None = None,
-    ) -> ObjectSummary:
-        """Generate the complete OS of a Data Subject (Algorithm 5)."""
-        with self.live_guard.read():
+    ) -> FlatOS:
+        """Generate the complete OS of a Data Subject (Algorithm 5).
+
+        The data graph takes the level-synchronous
+        :meth:`complete_os_flat`; every other backend the per-parent
+        :func:`~repro.core.generation.generate_os`.  Both emit the same
+        tree, node for node.
+        """
+        with self.live_guard.read():  # re-entrant: complete_os_flat nests
+            gen_backend = self.backend(backend)
+            if isinstance(gen_backend, DataGraphBackend):
+                return self.complete_os_flat(rds_table, row_id, depth_limit=depth_limit)
             return generate_os(
                 row_id,
                 self.gds_for(rds_table),
-                self.backend(backend),
+                gen_backend,
                 self.store,
                 depth_limit=depth_limit,
             )
@@ -205,11 +214,10 @@ class SizeLEngine:
         row_id: int,
         depth_limit: int | None = None,
     ) -> FlatOS:
-        """Generate the complete OS as a columnar :class:`FlatOS`.
+        """Generate the complete OS over the data graph, a BFS level at a time.
 
-        The level-synchronous hot path over the data graph: identical tree
-        (node i == legacy uid i), flat numpy arrays instead of one
-        ``OSNode`` per tuple.  Only the data-graph backend supports this.
+        The columnar hot path (:func:`~repro.core.generation.generate_os_flat`)
+        that serves complete OSs on the data-graph backend.
         """
         with self.live_guard.read():
             return generate_os_flat(
@@ -227,7 +235,7 @@ class SizeLEngine:
         l: int,  # noqa: E741
         backend: str | Backend = Backend.DATAGRAPH,
         depth_limit: int | None = None,
-    ) -> tuple[ObjectSummary, PrelimStats]:
+    ) -> tuple[FlatOS, PrelimStats]:
         """Generate the top-l prelim-l OS of a Data Subject (Algorithm 4)."""
         validate_l(l)
         with self.live_guard.read():
@@ -278,16 +286,9 @@ class SizeLEngine:
         check_deadline()  # cancel before generation, the expensive half
         options = options.normalized()  # idempotent; catches typo'd sources
         algo_fn = get_algorithm(options.algorithm_name)
-        # normalized() canonicalizes flat: True implies complete source,
-        # data-graph backend, and a flat-capable algorithm.
-        use_flat = options.flat
         gen_start = perf_counter()
         prelim_stats: PrelimStats | None = None
-        if use_flat:
-            os_tree: ObjectSummary | FlatOS = self.complete_os_flat(
-                rds_table, row_id, depth_limit=options.depth_limit
-            )
-        elif options.source_name == Source.COMPLETE.value:
+        if options.source_name == Source.COMPLETE.value:
             os_tree = self.complete_os(
                 rds_table,
                 row_id,

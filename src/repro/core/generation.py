@@ -1,9 +1,13 @@
-"""Complete OS generation — Algorithm 5 of the paper.
+"""OS generation — Algorithm 5 of the paper (and Algorithm 4's BFS).
 
 A breadth-first traversal of the (θ-pruned) G_DS starting from the t_DS
 tuple: for each dequeued tuple occurrence, each child relation of its G_DS
 node is joined to fetch child tuples, which are appended to the OS tree and
-enqueued.
+enqueued.  Every generator emits a columnar
+:class:`~repro.core.os_tree.FlatOS`: :func:`grow_os` one parent tuple at a
+time over any backend (prelim-l generation runs the same loop with its
+avoidance conditions on), :func:`generate_os_flat` a whole BFS level at a
+time over the data graph.
 
 Two backends mirror the paper's two generation strategies (Section 6.3):
 
@@ -19,11 +23,11 @@ generation (Algorithm 4, Avoidance Condition 2) needs.
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
-from repro.core.os_tree import FlatOS, ObjectSummary, OSNode
+from repro.core.os_tree import FlatOS
 from repro.datagraph.graph import DataGraph
 from repro.db.database import Database
 from repro.db.query import QueryInterface
@@ -31,17 +35,27 @@ from repro.errors import SummaryError
 from repro.ranking.store import ImportanceStore
 from repro.reliability.deadline import CHECK_MASK, check_deadline
 from repro.schema_graph.gds import GDS, GDSNode, JunctionJoin, RefJoin, ReverseJoin
+from repro.util.heaps import BoundedTopHeap
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.prelim import PrelimStats
 
 
 class GenerationBackend(Protocol):
-    """Fetches child tuples for OS generation."""
+    """Fetches child tuples for OS generation.
+
+    A parent tuple is addressed by row: *parent_row* of the parent G_DS
+    node's relation (``gds_child.parent.table``).  *origin_row* is the
+    tuple a co-author style join must drop (see :func:`excludes_origin`),
+    or ``None`` when the join excludes nothing.
+    """
 
     @property
     def db(self) -> Database:
         ...  # pragma: no cover
 
     def children(
-        self, gds_child: GDSNode, parent: OSNode
+        self, gds_child: GDSNode, parent_row: int, origin_row: int | None
     ) -> "np.ndarray | list[int]":
         """Row ids of *gds_child*-relation tuples joining the parent tuple.
 
@@ -54,7 +68,8 @@ class GenerationBackend(Protocol):
     def children_top(
         self,
         gds_child: GDSNode,
-        parent: OSNode,
+        parent_row: int,
+        origin_row: int | None,
         store: ImportanceStore,
         threshold: float,
         limit: int,
@@ -64,17 +79,45 @@ class GenerationBackend(Protocol):
         ...  # pragma: no cover
 
 
-def _origin_row(gds_child: GDSNode, parent: OSNode) -> int | None:
-    """The row to exclude for co-author style joins (see JunctionJoin)."""
+def excludes_origin(gds_child: GDSNode) -> bool:
+    """Whether *gds_child*'s join drops the tuple its parent was reached from.
+
+    The co-author rule (:class:`~repro.schema_graph.gds.JunctionJoin`'s
+    ``exclude_origin``): the Co-Authors of a Paper reached from Author x
+    exclude x.  The origin is the OS grandparent, so this is decided on
+    the G_DS alone, once per edge.
+    """
     join = gds_child.join
-    if (
+    parent = gds_child.parent
+    return (
         isinstance(join, JunctionJoin)
         and join.exclude_origin
+        and parent is not None
         and parent.parent is not None
         and parent.parent.table == join.target_table
-    ):
-        return parent.parent.row_id
-    return None
+    )
+
+
+def top_children(
+    gds_child: GDSNode,
+    rows: "np.ndarray | list[int]",
+    store: ImportanceStore,
+    threshold: float,
+    limit: int,
+) -> list[int]:
+    """The li > *threshold* filter and TOP-*limit* cut of fetched *rows*.
+
+    Descending local importance, ties by ascending row id — the order of
+    :meth:`~repro.db.query.QueryInterface.select_top_where_eq`.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        return []
+    # One vectorized gather scores every candidate exactly once.
+    scores = store.local_importance_many(gds_child, rows)
+    keep = scores > threshold
+    rows, scores = rows[keep], scores[keep]
+    return rows[np.lexsort((rows, -scores))[:limit]].tolist()
 
 
 class DataGraphBackend:
@@ -89,12 +132,14 @@ class DataGraphBackend:
     def db(self) -> Database:
         return self._db
 
-    def children(self, gds_child: GDSNode, parent: OSNode) -> np.ndarray:
+    def children(
+        self, gds_child: GDSNode, parent_row: int, origin_row: int | None
+    ) -> np.ndarray:
         # Read-only: ReverseJoin returns a zero-copy CSR slice (see
         # DataGraph.children_of); mutating it would corrupt the shared graph.
-        assert gds_child.join is not None
+        assert gds_child.join is not None and gds_child.parent is not None
         rows = self.data_graph.children_of(
-            gds_child.join, parent.table, parent.row_id, _origin_row(gds_child, parent)
+            gds_child.join, gds_child.parent.table, parent_row, origin_row
         )
         self.nodes_visited += len(rows)
         return rows
@@ -102,21 +147,14 @@ class DataGraphBackend:
     def children_top(
         self,
         gds_child: GDSNode,
-        parent: OSNode,
+        parent_row: int,
+        origin_row: int | None,
         store: ImportanceStore,
         threshold: float,
         limit: int,
     ) -> list[int]:
-        rows = np.asarray(self.children(gds_child, parent))
-        if rows.size == 0:
-            return []
-        # One vectorized gather scores every candidate exactly once.
-        scores = store.local_importance_many(gds_child, rows)
-        keep = scores > threshold
-        rows, scores = rows[keep], scores[keep]
-        # Descending score, ties by ascending row id (the legacy order).
-        order = np.lexsort((rows, -scores))[:limit]
-        return [int(row) for row in rows[order]]
+        rows = self.children(gds_child, parent_row, origin_row)
+        return top_children(gds_child, rows, store, threshold, limit)
 
 
 class DatabaseBackend:
@@ -151,48 +189,49 @@ class DatabaseBackend:
             if pk is None:
                 continue
             row = target.row_id_for_pk(pk)
-            if join.exclude_origin and origin is not None and row == origin:
+            if origin is not None and row == origin:
                 continue
             children.append(row)
         return children
 
-    def children(self, gds_child: GDSNode, parent: OSNode) -> list[int]:
+    def children(
+        self, gds_child: GDSNode, parent_row: int, origin_row: int | None
+    ) -> list[int]:
         join = gds_child.join
-        assert join is not None
-        parent_table = self.db.table(parent.table)
+        assert join is not None and gds_child.parent is not None
+        parent_table = self.db.table(gds_child.parent.table)
         if isinstance(join, RefJoin):
-            ref = parent_table.value(parent.row_id, join.fk_column)
+            ref = parent_table.value(parent_row, join.fk_column)
             if ref is None:
                 self.qi.count_io()  # the lookup still executes
                 return []
             return self.qi.lookup_by_pk(join.target_table, ref)
-        parent_pk = parent_table.pk_of_row(parent.row_id)
+        parent_pk = parent_table.pk_of_row(parent_row)
         if isinstance(join, ReverseJoin):
             return self.qi.select_where_eq(join.child_table, join.fk_column, parent_pk)
         if isinstance(join, JunctionJoin):
             junction_rows = self.qi.select_where_eq(
                 join.junction_table, join.from_column, parent_pk
             )
-            return self._junction_targets(
-                join, junction_rows, _origin_row(gds_child, parent)
-            )
+            return self._junction_targets(join, junction_rows, origin_row)
         raise SummaryError(f"unknown join spec: {join!r}")  # pragma: no cover
 
     def children_top(
         self,
         gds_child: GDSNode,
-        parent: OSNode,
+        parent_row: int,
+        origin_row: int | None,
         store: ImportanceStore,
         threshold: float,
         limit: int,
     ) -> list[int]:
         join = gds_child.join
-        assert join is not None
+        assert join is not None and gds_child.parent is not None
         if isinstance(join, ReverseJoin):
             def score_of(table: str, row_id: int) -> float:
                 return store.local_importance(gds_child, row_id)
 
-            parent_pk = self.db.table(parent.table).pk_of_row(parent.row_id)
+            parent_pk = self.db.table(gds_child.parent.table).pk_of_row(parent_row)
             return self.qi.select_top_where_eq(
                 join.child_table,
                 join.fk_column,
@@ -203,13 +242,101 @@ class DatabaseBackend:
             )
         # RefJoin and JunctionJoin: fetch (one statement) then filter/limit,
         # which is what the single SQL join with the li predicate would do.
-        scored = []
-        for row in self.children(gds_child, parent):
-            score = store.local_importance(gds_child, row)
-            if score > threshold:
-                scored.append((score, -row, row))
-        scored.sort(reverse=True)
-        return [row for _score, _neg, row in scored[:limit]]
+        rows = self.children(gds_child, parent_row, origin_row)
+        return top_children(gds_child, rows, store, threshold, limit)
+
+
+def grow_os(
+    tds_row_id: int,
+    gds: GDS,
+    backend: GenerationBackend,
+    store: ImportanceStore,
+    depth_limit: int | None = None,
+    max_nodes: int | None = None,
+    prelim: "PrelimStats | None" = None,
+    l: int = 0,  # noqa: E741 - paper notation
+) -> FlatOS:
+    """The per-parent BFS behind Algorithms 4 and 5, emitting a FlatOS.
+
+    Each dequeued tuple occurrence issues one backend fetch per child
+    relation of its G_DS node and appends the children to parallel
+    arrays, so node ``i`` is the ``i``-th tuple the BFS extracts.  With
+    *prelim* set this is Algorithm 4: the running ``largest-l`` threshold
+    is read once per (parent, child relation), in BFS order, to apply
+    Avoidance Conditions 1 and 2, and *prelim* receives the counters and
+    the top-l set.  Without it this is Algorithm 5 over any backend.
+    """
+    parents = [-1]
+    depths = [0]
+    nodes = [gds.root]
+    rows = [int(tds_row_id)]
+    weights = [store.local_importance(gds.root, tds_row_id)]
+    origin_edges = {g.node_id for g in gds.nodes() if excludes_origin(g)}
+    if prelim is not None:
+        top_l: BoundedTopHeap[int] = BoundedTopHeap(l)
+        top_l.offer(0, weights[0])
+        prelim.extracted_tuples += 1
+    cursor = 0
+    while cursor < len(rows):
+        i = cursor
+        cursor += 1
+        if cursor & CHECK_MASK == 0:
+            check_deadline()
+        depth = depths[i] + 1
+        if depth_limit is not None and depth > depth_limit:
+            continue
+        parent_row = rows[i]
+        for gds_child in nodes[i].children:
+            capped = False
+            if prelim is not None:
+                largest_l = top_l.threshold
+                # Avoidance Condition 1: the whole G_DS subtree is fruitless.
+                if largest_l >= gds_child.max_local and largest_l >= gds_child.mmax_local:
+                    prelim.avoided_subtrees += 1
+                    continue
+                # Avoidance Condition 2: descendants are fruitless; cap the join.
+                capped = largest_l >= gds_child.mmax_local
+            origin = rows[parents[i]] if gds_child.node_id in origin_edges else None
+            if capped:
+                fetched = backend.children_top(
+                    gds_child, parent_row, origin, store, largest_l, l
+                )
+                prelim.limited_extractions += 1
+            else:
+                fetched = backend.children(gds_child, parent_row, origin)
+                if prelim is not None:
+                    prelim.full_extractions += 1
+            if len(fetched) == 0:
+                continue
+            fetched = np.asarray(fetched)
+            fetched_weights = store.local_importance_many(gds_child, fetched).tolist()
+            first = len(rows)
+            rows.extend(fetched.tolist())
+            weights.extend(fetched_weights)
+            parents.extend([i] * len(fetched_weights))
+            depths.extend([depth] * len(fetched_weights))
+            nodes.extend([gds_child] * len(fetched_weights))
+            if max_nodes is not None and len(rows) > max_nodes:
+                raise SummaryError(
+                    f"OS exceeded max_nodes={max_nodes}; raise the limit or "
+                    f"tighten theta/depth"
+                )
+            if prelim is not None:
+                prelim.extracted_tuples += len(fetched_weights)
+                for index, weight in enumerate(fetched_weights, first):
+                    top_l.offer(index, weight)  # kept iff it beats largest-l
+    if prelim is not None:
+        prelim.top_l_uids = {index for index, _score in top_l.items()}
+    return FlatOS(
+        parent=np.array(parents, dtype=np.int32),
+        depth=np.array(depths, dtype=np.int32),
+        gds_node_id=np.array([node.node_id for node in nodes], dtype=np.int32),
+        row_id=np.array(rows, dtype=np.int32),
+        weight=np.array(weights, dtype=np.float64),
+        gds=gds,
+        db=backend.db,
+        kind="complete" if prelim is None else "prelim",
+    )
 
 
 def generate_os(
@@ -219,47 +346,15 @@ def generate_os(
     store: ImportanceStore,
     depth_limit: int | None = None,
     max_nodes: int | None = None,
-) -> ObjectSummary:
-    """Algorithm 5: generate the complete OS for a t_DS tuple.
+) -> FlatOS:
+    """Algorithm 5 over any backend: one fetch per (parent, child relation).
 
     *gds* should already be θ-pruned (the engine does this); *depth_limit*
-    implements the paper's footnote 1 — tuples at distance ≥ l from the root
-    cannot participate in a connected size-l OS and may be excluded up
-    front.  *max_nodes* is a safety valve for pathological fan-outs (not
-    part of the paper; ``None`` disables it).
+    implements the paper's footnote 1 (tuples at distance ≥ l from the root
+    cannot join a connected size-l OS); *max_nodes* is a safety valve for
+    pathological fan-outs (not part of the paper; ``None`` disables it).
     """
-    root_gds = gds.root
-    root_weight = store.local_importance(root_gds, tds_row_id)
-    root = OSNode(0, root_gds, tds_row_id, None, root_weight)
-    queue: list[OSNode] = [root]
-    cursor = 0
-    next_uid = 1
-    while cursor < len(queue):
-        node = queue[cursor]
-        cursor += 1
-        if cursor & CHECK_MASK == 0:
-            check_deadline()
-        if depth_limit is not None and node.depth >= depth_limit:
-            continue
-        for gds_child in node.gds.children:
-            for row_id in backend.children(gds_child, node):
-                row_id = int(row_id)  # np scalars from array slices; keep uids JSON-safe
-                child = OSNode(
-                    next_uid,
-                    gds_child,
-                    row_id,
-                    node,
-                    store.local_importance(gds_child, row_id),
-                )
-                next_uid += 1
-                node.children.append(child)
-                queue.append(child)
-                if max_nodes is not None and next_uid > max_nodes:
-                    raise SummaryError(
-                        f"OS exceeded max_nodes={max_nodes}; raise the limit or "
-                        f"tighten theta/depth"
-                    )
-    return ObjectSummary(root, db=backend.db, kind="complete")
+    return grow_os(tds_row_id, gds, backend, store, depth_limit, max_nodes)
 
 
 def _expand_edge(
@@ -310,11 +405,10 @@ def generate_os_flat(
 ) -> FlatOS:
     """Algorithm 5, columnar: level-synchronous frontier expansion.
 
-    Produces exactly the tree :func:`generate_os` produces (node ``i`` of the
-    :class:`~repro.core.os_tree.FlatOS` is the legacy uid-``i`` node), but
-    expands an entire BFS frontier per G_DS edge with ``np.repeat``/gathers
-    instead of one Python iteration per tuple, and computes each level's
-    weights as one vectorized
+    Produces exactly the tree :func:`generate_os` produces, node for node,
+    but expands an entire BFS frontier per G_DS edge with
+    ``np.repeat``/gathers instead of one Python iteration per tuple, and
+    computes each level's weights as one vectorized
     :meth:`~repro.ranking.store.ImportanceStore.local_importance_many` call.
     Only the data-graph backend supports this path — the database backend's
     per-join I/O accounting is inherently per parent tuple.
@@ -323,7 +417,7 @@ def generate_os_flat(
     gds_nodes = gds.nodes()
     # Per-level ordering key: parent position within the frontier is the
     # major key, the G_DS edge's rank among its parent's children the minor
-    # key, so a stable sort reproduces the legacy BFS append order exactly.
+    # key, so a stable sort reproduces the per-parent BFS append order exactly.
     edge_stride = max((len(n.children) for n in gds_nodes), default=1) or 1
     # Disk-resident graphs (repro.storage's buffer pool) prefer each
     # frontier group expanded in ascending row order: CSR gathers then
@@ -367,15 +461,10 @@ def generate_os_flat(
                 sel = sel[np.argsort(frontier_rows[sel], kind="stable")]
             parent_rows = frontier_rows[sel]
             for edge_rank, gds_child in enumerate(g.children):
-                join = gds_child.join
-                excluding = (
-                    isinstance(join, JunctionJoin)
-                    and join.exclude_origin
-                    and g.parent is not None
-                    and g.parent.table == join.target_table
-                )
                 origin_rows = (
-                    prev_rows[frontier_parent_pos[sel]] if excluding else None
+                    prev_rows[frontier_parent_pos[sel]]
+                    if excludes_origin(gds_child)
+                    else None
                 )
                 rep, child_rows = _expand_edge(
                     graph, g, gds_child, parent_rows, origin_rows

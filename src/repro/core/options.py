@@ -151,11 +151,6 @@ class QueryOptions:
     backend: Backend | str = Backend.DATAGRAPH
     max_results: int | None = None
     depth_limit: int | None = None
-    #: Route complete-OS generation on the data-graph backend through the
-    #: columnar FlatOS hot path (identical results; much faster).  ``False``
-    #: forces the legacy per-node OSNode path — kept selectable for A/B
-    #: comparison and for plugin algorithms that require ObjectSummary.
-    flat: bool = True
     #: Allow serving this query's complete-OS generation from an attached
     #: snapshot (the :class:`~repro.core.cache.SummaryCache` disk tier).
     #: ``False`` forces a cache **miss** to regenerate from the live
@@ -199,8 +194,6 @@ class QueryOptions:
                 f"depth_limit must be a non-negative integer or None, "
                 f"got {self.depth_limit!r}"
             )
-        if not isinstance(self.flat, bool):
-            raise SummaryError(f"flat must be a bool, got {self.flat!r}")
         if not isinstance(self.snapshot, bool):
             raise SummaryError(f"snapshot must be a bool, got {self.snapshot!r}")
         if self.parallel is not None:
@@ -210,25 +203,8 @@ class QueryOptions:
                     f"got {self.parallel!r}"
                 )
             self.parallel.normalized()
-        flat = self.flat
-        if flat:
-            # Canonicalize: the flat path only exists for the complete
-            # source on the data-graph backend with a flat-capable
-            # algorithm.  Normalizing it to False everywhere else keeps
-            # "flat" meaning "this query WILL run columnar" and gives
-            # equivalent option sets identical cache keys.
-            algo_name = (
-                algorithm.value if isinstance(algorithm, Algorithm) else algorithm
-            )
-            algo_fn = ALGORITHM_REGISTRY.get(algo_name)
-            if (
-                source is not Source.COMPLETE
-                or backend is not Backend.DATAGRAPH
-                or not getattr(algo_fn, "supports_flat", False)
-            ):
-                flat = False
         return dataclasses.replace(
-            self, algorithm=algorithm, source=source, backend=backend, flat=flat
+            self, algorithm=algorithm, source=source, backend=backend
         )
 
     def replace(self, **changes: Any) -> "QueryOptions":
@@ -265,12 +241,11 @@ class QueryOptions:
             "backend": self.backend_name,
             "max_results": self.max_results,
             "depth_limit": self.depth_limit,
-            "flat": self.flat,
             "snapshot": self.snapshot,
             "parallel": None if self.parallel is None else self.parallel.as_dict(),
         }
 
-    def cache_key(self) -> tuple[int, str, str, str, int | None, bool]:
+    def cache_key(self) -> tuple[int, str, str, str, int | None]:
         """The memoisation key of a size-l result under these options."""
         return (
             self.l,
@@ -278,7 +253,6 @@ class QueryOptions:
             self.source_name,
             self.backend_name,
             self.depth_limit,
-            self.flat,
         )
 
 

@@ -6,12 +6,17 @@ Christos's papers) and every occurrence is a distinct node with its own
 weight.  Node weights are local importances Im(OS, t_i) = Im(t_i) · Af(t_i)
 (Equation 3); the importance of any sub-summary is the sum of its node
 weights (Equation 2).
+
+Every generator emits, and every size-l algorithm reads, the columnar
+:class:`FlatOS`.  :class:`ObjectSummary` (a tree of :class:`OSNode`) is
+the render/export view of a FlatOS or of a size-l selection from one
+(:meth:`FlatOS.materialise_subset`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,9 +56,6 @@ class OSNode:
     def label(self) -> str:
         return self.gds.label
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def path_from_root(self) -> list["OSNode"]:
         """Nodes from the OS root down to (and including) this node."""
         path: list[OSNode] = []
@@ -72,11 +74,11 @@ class OSNode:
 
 
 class ObjectSummary:
-    """An OS (complete, prelim-l, or a size-l subset materialised as a tree).
+    """The node-tree view of an OS (complete, prelim-l, or a size-l subset).
 
-    Holds references to the database (for rendering attribute values) and
-    exposes the traversals the size-l algorithms need.  ``nodes`` is in BFS
-    order — the order Algorithm 5's breadth-first generation creates them.
+    Holds references to the database (for rendering attribute values);
+    built by :meth:`FlatOS.materialise_subset`.  ``nodes`` is in BFS
+    order, and a node's ``uid`` is its :class:`FlatOS` index.
     """
 
     def __init__(
@@ -118,63 +120,9 @@ class ObjectSummary:
         except KeyError:
             raise SummaryError(f"no OS node with uid {uid}") from None
 
-    def has_node(self, uid: int) -> bool:
-        return uid in self._by_uid
-
-    def leaves(self) -> list[OSNode]:
-        return [node for node in self.nodes if node.is_leaf()]
-
-    def max_depth(self) -> int:
-        return max(node.depth for node in self.nodes)
-
-    def post_order(self) -> Iterator[OSNode]:
-        """Children-before-parents traversal (drives the DP)."""
-        return reversed(self.nodes)  # BFS reversed is a valid post-order
-
-    def subtree_sizes(self) -> dict[int, int]:
-        """uid → number of nodes in that node's subtree (itself included)."""
-        sizes: dict[int, int] = {}
-        for node in self.post_order():
-            sizes[node.uid] = 1 + sum(sizes[child.uid] for child in node.children)
-        return sizes
-
     def total_importance(self) -> float:
         """Im of the whole summary (Equation 2 over all nodes)."""
         return sum(node.weight for node in self.nodes)
-
-    # ------------------------------------------------------------------ #
-    # Subset materialisation
-    # ------------------------------------------------------------------ #
-    def materialise_subset(self, selected_uids: set[int], kind: str = "size-l") -> "ObjectSummary":
-        """Build a new ObjectSummary restricted to *selected_uids*.
-
-        The subset must contain the root and be connected (every selected
-        node's parent selected) — the stand-alone requirement of
-        Definition 1; violations raise :class:`~repro.errors.SummaryError`.
-        """
-        if self.root.uid not in selected_uids:
-            raise SummaryError("size-l subset must contain the OS root (t_DS)")
-        clones: dict[int, OSNode] = {}
-        for node in self.nodes:  # BFS order guarantees parents first
-            if node.uid not in selected_uids:
-                continue
-            if node.parent is None:
-                parent_clone = None
-            else:
-                parent_clone = clones.get(node.parent.uid)
-                if parent_clone is None:
-                    raise SummaryError(
-                        f"size-l subset is disconnected: node {node.uid} selected "
-                        f"without its parent {node.parent.uid}"
-                    )
-            clone = OSNode(node.uid, node.gds, node.row_id, parent_clone, node.weight)
-            if parent_clone is not None:
-                parent_clone.children.append(clone)
-            clones[node.uid] = clone
-        missing = selected_uids - set(clones)
-        if missing:
-            raise SummaryError(f"selected uids not present in OS: {sorted(missing)}")
-        return ObjectSummary(clones[self.root.uid], db=self.db, kind=kind)
 
     # ------------------------------------------------------------------ #
     # Rendering (the paper's Examples 4 and 5 format)
@@ -227,13 +175,11 @@ class ObjectSummary:
 class FlatOS:
     """A columnar Object Summary: parallel arrays instead of node objects.
 
-    Index ``i`` identifies one tuple occurrence; indices are assigned in
-    the exact BFS order the legacy :class:`OSNode` path assigns uids, so a
-    flat index *is* the corresponding legacy uid and size-l selections are
-    directly comparable across the two representations.
+    Index ``i`` identifies one tuple occurrence, in the BFS order
+    Algorithm 5 extracts tuples; size-l selections are sets of indices.
 
-    Invariants (guaranteed by
-    :func:`repro.core.generation.generate_os_flat`):
+    Invariants (guaranteed by every generator in
+    :mod:`repro.core.generation`):
 
     * ``parent[0] == -1`` (the t_DS root) and ``parent`` is non-decreasing,
       so every node's children occupy one contiguous index range;
@@ -304,9 +250,6 @@ class FlatOS:
     def gds_node(self, index: int) -> GDSNode:
         """The G_DS node of the tuple occurrence at *index*."""
         return self._gds_by_id[int(self.gds_node_id[index])]
-
-    def table_of(self, index: int) -> str:
-        return self.gds_node(index).table
 
     def max_depth(self) -> int:
         return int(self.depth[-1])  # depth is non-decreasing
@@ -446,13 +389,13 @@ class FlatOS:
         )
 
     # ------------------------------------------------------------------ #
-    # Interop with the OSNode representation
+    # The ObjectSummary view (rendering, export, node walks)
     # ------------------------------------------------------------------ #
     def to_object_summary(self, kind: str | None = None) -> ObjectSummary:
-        """Materialise the full tree as a legacy :class:`ObjectSummary`.
+        """Materialise the full tree as an :class:`ObjectSummary`.
 
-        Keeps rendering, export, and the brute-force oracle working against
-        flat-generated OSs; uid == flat index.
+        The view for rendering, export, and node-walking code such as the
+        brute-force oracle; uid == flat index.
         """
         return self.materialise_subset(
             range(self.size), kind=self.kind if kind is None else kind

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.generation import GenerationBackend
-from repro.core.os_tree import ObjectSummary, OSNode, validate_l
+from repro.core.generation import GenerationBackend, grow_os
+from repro.core.os_tree import FlatOS, validate_l
 from repro.ranking.store import ImportanceStore
 from repro.schema_graph.gds import GDS
-from repro.util.heaps import BoundedTopHeap
 
 
 @dataclass
@@ -48,56 +47,17 @@ def generate_prelim_os(
     store: ImportanceStore,
     l: int,  # noqa: E741
     depth_limit: int | None = None,
-) -> tuple[ObjectSummary, PrelimStats]:
+) -> tuple[FlatOS, PrelimStats]:
     """Generate the top-l prelim-l OS for a t_DS tuple (Algorithm 4).
 
     Requires the G_DS to be annotated with max(R_i)/mmax(R_i)
     (:func:`repro.ranking.store.annotate_gds`).  Returns the prelim OS and
     extraction statistics; the OS is tagged ``kind="prelim"`` and the stats
-    record which nodes form the top-l set.
+    record which nodes (FlatOS indices) form the top-l set.
     """
     validate_l(l)
     stats = PrelimStats()
-    root_gds = gds.root
-    root_weight = store.local_importance(root_gds, tds_row_id)
-    root = OSNode(0, root_gds, tds_row_id, None, root_weight)
-    stats.extracted_tuples += 1
-
-    top_l: BoundedTopHeap[int] = BoundedTopHeap(l)
-    top_l.offer(root.uid, root_weight)
-
-    queue: list[OSNode] = [root]
-    cursor = 0
-    next_uid = 1
-    while cursor < len(queue):
-        node = queue[cursor]
-        cursor += 1
-        if depth_limit is not None and node.depth >= depth_limit:
-            continue
-        for gds_child in node.gds.children:
-            largest_l = top_l.threshold
-            # Avoidance Condition 1: the whole G_DS subtree is fruitless.
-            if largest_l >= gds_child.max_local and largest_l >= gds_child.mmax_local:
-                stats.avoided_subtrees += 1
-                continue
-            # Avoidance Condition 2: descendants are fruitless; cap the join.
-            if largest_l >= gds_child.mmax_local:
-                rows = backend.children_top(gds_child, node, store, largest_l, l)
-                stats.limited_extractions += 1
-            else:
-                rows = backend.children(gds_child, node)
-                stats.full_extractions += 1
-            for row_id in rows:
-                row_id = int(row_id)  # np scalars from array slices; keep uids JSON-safe
-                weight = store.local_importance(gds_child, row_id)
-                child = OSNode(next_uid, gds_child, row_id, node, weight)
-                next_uid += 1
-                node.children.append(child)
-                queue.append(child)
-                stats.extracted_tuples += 1
-                if weight > top_l.threshold or not top_l.is_full:
-                    top_l.offer(child.uid, weight)
-
-    stats.top_l_uids = {uid for uid, _score in top_l.items()}
-    summary = ObjectSummary(root, db=backend.db, kind="prelim")
-    return summary, stats
+    tree = grow_os(
+        tds_row_id, gds, backend, store, depth_limit, prelim=stats, l=l
+    )
+    return tree, stats

@@ -10,13 +10,15 @@ from :class:`~repro.core.engine.SizeLEngine`,
     from repro import register_algorithm
 
     @register_algorithm("greedy_leaves")
-    def greedy_leaves(os_tree, l):
-        ...  # -> SizeLResult
+    def greedy_leaves(flat, l):
+        ...  # a FlatOS in -> SizeLResult
 
     Session.from_dataset(data).keyword_query("Faloutsos", l=10,
                                              algorithm="greedy_leaves")
 
-Algorithm entries are callables ``(os_tree, l) -> SizeLResult``; backend
+Algorithm entries are callables ``(flat, l) -> SizeLResult`` over a
+columnar :class:`~repro.core.os_tree.FlatOS` (``flat.to_object_summary()``
+is one call away for node-walking code); backend
 entries are factories ``(engine) -> GenerationBackend`` (the engine hands
 them its database, data graph, and query interface).
 """
@@ -32,7 +34,7 @@ from repro.core.generation import (
     DataGraphBackend,
     GenerationBackend,
 )
-from repro.core.os_tree import ObjectSummary, SizeLResult
+from repro.core.os_tree import FlatOS, SizeLResult
 from repro.core.top_path import top_path_size_l
 from repro.errors import RegistryError, SummaryError
 
@@ -41,8 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 T = TypeVar("T")
 
-#: A size-l algorithm: summarise *os_tree* down to *l* tuple occurrences.
-AlgorithmFn = Callable[[ObjectSummary, int], SizeLResult]
+#: A size-l algorithm: summarise a FlatOS down to *l* tuple occurrences.
+AlgorithmFn = Callable[[FlatOS, int], SizeLResult]
 
 #: A backend factory: build a generation backend from an engine's resources.
 BackendFactory = Callable[["SizeLEngine"], GenerationBackend]
@@ -162,21 +164,14 @@ def backend_names() -> list[str]:
 # --------------------------------------------------------------------- #
 # Built-ins (Section 5's algorithms; the paper's two generation backends)
 # --------------------------------------------------------------------- #
-def _top_path_optimized(os_tree: ObjectSummary, l: int) -> SizeLResult:  # noqa: E741
-    return top_path_size_l(os_tree, l, variant="optimized")
+def _top_path_optimized(flat: FlatOS, l: int) -> SizeLResult:  # noqa: E741
+    return top_path_size_l(flat, l, variant="optimized")
 
 
 ALGORITHM_REGISTRY.register("dp", optimal_size_l)
 ALGORITHM_REGISTRY.register("bottom_up", bottom_up_size_l)
 ALGORITHM_REGISTRY.register("top_path", top_path_size_l)
 ALGORITHM_REGISTRY.register("top_path_optimized", _top_path_optimized)
-
-# The built-ins accept a columnar FlatOS as well as an ObjectSummary; the
-# engine only routes generation through the flat hot path when the selected
-# algorithm advertises this (plugins default to the legacy representation).
-for _fn in (optimal_size_l, bottom_up_size_l, top_path_size_l, _top_path_optimized):
-    _fn.supports_flat = True  # type: ignore[attr-defined]
-del _fn
 
 
 @register_backend("datagraph")

@@ -15,15 +15,15 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.os_tree import ObjectSummary, SizeLResult
+from repro.core.os_tree import FlatOS, SizeLResult
 from repro.core.top_path import top_path_size_l
 from repro.errors import SummaryError
 
-SizeLAlgorithm = Callable[[ObjectSummary, int], SizeLResult]
+SizeLAlgorithm = Callable[[FlatOS, int], SizeLResult]
 
 
 def word_budget_summary(
-    os_tree: ObjectSummary,
+    os_tree: FlatOS,
     word_budget: int,
     algorithm: SizeLAlgorithm = top_path_size_l,
 ) -> SizeLResult:

@@ -23,173 +23,38 @@ Two variants are implemented:
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
-from repro.core.os_tree import FlatOS, ObjectSummary, OSNode, SizeLResult, validate_l
+from repro.core.os_tree import FlatOS, SizeLResult, validate_l
 from repro.errors import SummaryError
 from repro.reliability.deadline import check_deadline
 from repro.util.arrays import gather_ranges
 
-
-def _prefix_sums(os_tree: ObjectSummary, eligible: set[int]) -> dict[int, float]:
-    """uid → sum of weights from the OS root down to the node (inclusive)."""
-    sums: dict[int, float] = {}
-    for node in os_tree.nodes:  # BFS: parents first
-        if node.uid not in eligible:
-            continue
-        parent_sum = sums[node.parent.uid] if node.parent is not None else 0.0
-        sums[node.uid] = parent_sum + node.weight
-    return sums
-
-
-def _ai(
-    node: OSNode,
-    root: OSNode,
-    prefix: dict[int, float],
-) -> float:
-    """AI(p_i) of *node* relative to the current tree root *root*."""
-    above_root = prefix[root.uid] - root.weight
-    length = node.depth - root.depth + 1
-    return (prefix[node.uid] - above_root) / length
+#: Eligible-subtree size from which a naive-variant rescan switches from a
+#: scalar Python walk to one vectorized gather per level (below it, numpy
+#: call overhead costs more than it saves).
+_VECTOR_SCAN_MIN_NODES = 256
 
 
 def top_path_size_l(
-    os_tree: ObjectSummary | FlatOS,
+    flat: FlatOS,
     l: int,  # noqa: E741
     variant: str = "naive",
 ) -> SizeLResult:
     """Compute a size-l OS by repeatedly adding the best-average path.
 
-    Accepts either representation; a columnar
-    :class:`~repro.core.os_tree.FlatOS` runs over parallel arrays with
-    vectorized subtree scans (identical selections, ties included).
+    Prefix sums arrive from one level-synchronous sweep, large subtree
+    rescans are vectorized gathers over contiguous child ranges, and the
+    active trees wait in a heap keyed by their best path.  Ties — between
+    nodes of one subtree and between active trees — go to the smallest
+    index.
     """
     validate_l(l)
     if variant not in ("naive", "optimized"):
         raise SummaryError(f"unknown top-path variant: {variant!r}")
-    if isinstance(os_tree, FlatOS):
-        return _top_path_size_l_flat(os_tree, l, variant)
-
-    eligible = {node.uid for node in os_tree.nodes if node.depth < l}
-    prefix = _prefix_sums(os_tree, eligible)
-
-    if len(eligible) <= l:
-        summary = os_tree.materialise_subset(set(eligible))
-        return SizeLResult(
-            summary=summary,
-            selected_uids=set(eligible),
-            importance=summary.total_importance(),
-            algorithm=f"top_path[{variant}]",
-            l=l,
-            stats={"paths_selected": 0, "nodes_rescanned": 0},
-        )
-
-    # s(v) precomputation for the optimized variant: best-AI node (w.r.t. the
-    # *original* root) in each subtree.  Reversed BFS is post-order.
-    best_in_subtree: dict[int, int] = {}
-    if variant == "optimized":
-        for node in reversed(os_tree.nodes):
-            if node.uid not in eligible:
-                continue
-            best_uid = node.uid
-            best_score = _ai(node, os_tree.root, prefix)
-            for child in node.children:
-                if child.uid not in eligible:
-                    continue
-                candidate = best_in_subtree[child.uid]
-                candidate_score = _ai(os_tree.node(candidate), os_tree.root, prefix)
-                if candidate_score > best_score or (
-                    candidate_score == best_score and candidate < best_uid
-                ):
-                    best_uid = candidate
-                    best_score = candidate_score
-            best_in_subtree[node.uid] = best_uid
-
-    def subtree_argmax(root: OSNode) -> tuple[int, float]:
-        """Scan *root*'s eligible subtree for the node with max AI."""
-        nonlocal nodes_rescanned
-        best_uid = root.uid
-        best_score = _ai(root, root, prefix)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            nodes_rescanned += 1
-            score = _ai(node, root, prefix)
-            if score > best_score or (score == best_score and node.uid < best_uid):
-                best_uid = node.uid
-                best_score = score
-            for child in node.children:
-                if child.uid in eligible:
-                    stack.append(child)
-        return best_uid, best_score
-
-    nodes_rescanned = 0
-    # Active forest: root uid → (best node uid, best AI).
-    active: dict[int, tuple[int, float]] = {}
-
-    def register_root(root: OSNode) -> None:
-        if variant == "optimized":
-            best_uid = best_in_subtree[root.uid]
-            active[root.uid] = (best_uid, _ai(os_tree.node(best_uid), root, prefix))
-        else:
-            active[root.uid] = subtree_argmax(root)
-
-    register_root(os_tree.root)
-    selected: set[int] = set()
-    paths_selected = 0
-
-    while len(selected) < l:
-        check_deadline()  # per selected path: each iteration scans all roots
-        if not active:
-            raise SummaryError("top-path ran out of candidate trees")  # pragma: no cover
-        # Max AI over active roots; ties broken by smallest best-node uid.
-        winner_root_uid = min(
-            active, key=lambda uid: (-active[uid][1], active[uid][0])
-        )
-        best_uid, _best_score = active.pop(winner_root_uid)
-        winner_root = os_tree.node(winner_root_uid)
-        path = [
-            node
-            for node in os_tree.node(best_uid).path_from_root()
-            if node.depth >= winner_root.depth
-        ]
-        needed = l - len(selected)
-        taken = path[:needed]  # "add first l - |size-l OS| nodes of p_i"
-        selected.update(node.uid for node in taken)
-        paths_selected += 1
-        if len(selected) >= l:
-            break
-        # Children of removed nodes become roots of new trees.
-        for node in taken:
-            for child in node.children:
-                if child.uid in eligible and child.uid not in selected:
-                    register_root(child)
-
-    summary = os_tree.materialise_subset(selected)
-    return SizeLResult(
-        summary=summary,
-        selected_uids=selected,
-        importance=summary.total_importance(),
-        algorithm=f"top_path[{variant}]",
-        l=l,
-        stats={"paths_selected": paths_selected, "nodes_rescanned": nodes_rescanned},
-    )
-
-
-def _top_path_size_l_flat(
-    flat: FlatOS,
-    l: int,  # noqa: E741
-    variant: str,
-) -> SizeLResult:
-    """Update Top-Path-l over :class:`FlatOS` parallel arrays.
-
-    Prefix sums arrive from one level-synchronous sweep, subtree rescans are
-    vectorized gathers over contiguous child ranges, and AI values are array
-    arithmetic; selection order (ties included) matches the node-based
-    version exactly.
-    """
     n_el = flat.eligible_count(l)
-    parent = flat.parent
     prefix_arr = flat.prefix_weights(limit=n_el)  # only the eligible prefix is read
 
     if n_el <= l:
@@ -205,19 +70,16 @@ def _top_path_size_l_flat(
         )
 
     child_lo_arr, child_hi_arr = flat.eligible_child_bounds(l)
-    # Eligible-subtree sizes pick the scan strategy (scalar vs vector) below.
-    subtree_size = flat.eligible_subtree_sizes(l)
-
     # Scalar lookups run over plain lists: numpy scalar indexing costs more
     # than it saves for the many tiny subtrees this loop inspects.
+    # Eligible-subtree sizes pick the scan strategy (scalar vs vector) below.
+    subtree_size = flat.eligible_subtree_sizes(l).tolist()
     child_lo = child_lo_arr.tolist()
     child_hi = child_hi_arr.tolist()
+    parent = flat.parent[:n_el].tolist()
     depth = flat.depth[:n_el].tolist()
     prefix = prefix_arr[:n_el].tolist()
     weight = flat.weight[:n_el].tolist()
-
-    def ai_scalar(node: int, root: int, above_root: float) -> float:
-        return (prefix[node] - above_root) / (depth[node] - depth[root] + 1)
 
     # s(v) precomputation for the optimized variant: best-AI node (w.r.t.
     # the *original* root) in each subtree, children folded in index order
@@ -241,7 +103,6 @@ def _top_path_size_l_flat(
             best_in_subtree[index] = best_index
 
     nodes_rescanned = 0
-    _VECTOR_SCAN_MIN_NODES = 256  # below this, Python beats numpy call overhead
 
     def subtree_argmax_vector(root: int) -> tuple[int, float]:
         """One vectorized gather per level of *root*'s eligible subtree."""
@@ -263,51 +124,59 @@ def _top_path_size_l_flat(
     def subtree_argmax(root: int) -> tuple[int, float]:
         """Scan *root*'s eligible subtree for the node with max AI."""
         nonlocal nodes_rescanned
-        nodes_rescanned += int(subtree_size[root])
-        if subtree_size[root] >= _VECTOR_SCAN_MIN_NODES:
+        size = subtree_size[root]
+        nodes_rescanned += size
+        if size >= _VECTOR_SCAN_MIN_NODES:
             return subtree_argmax_vector(root)
         above_root = prefix[root] - weight[root]
-        best_index = root
-        best_score = ai_scalar(root, root, above_root)
-        stack = [root]
+        best_index, best_score = root, prefix[root] - above_root  # path length 1
+        if size == 1:  # a leaf: the only path is the root itself
+            return best_index, best_score
+        base = depth[root] - 1  # a node's path length is depth[node] - base
+        stack = list(range(child_lo[root], child_hi[root]))
         while stack:
             node = stack.pop()
-            score = ai_scalar(node, root, above_root)
+            score = (prefix[node] - above_root) / (depth[node] - base)
             if score > best_score or (score == best_score and node < best_index):
                 best_index = node
                 best_score = score
-            stack.extend(range(child_lo[node], child_hi[node]))
+            if child_lo[node] < child_hi[node]:
+                stack.extend(range(child_lo[node], child_hi[node]))
         return best_index, best_score
 
-    # Active forest: root index → (best node index, best AI).
-    active: dict[int, tuple[int, float]] = {}
+    # Candidate trees, one per active root: (-best AI, best node, root).  The
+    # heap minimum is the max-AI path, ties to the smallest best-node index
+    # (the best nodes of two active trees never coincide: their subtrees
+    # are disjoint).
+    candidates: list[tuple[float, int, int]] = []
 
     def register_root(root: int) -> None:
         if variant == "optimized":
             best_index = best_in_subtree[root]
             above_root = prefix[root] - weight[root]
-            active[root] = (best_index, ai_scalar(best_index, root, above_root))
+            score = (prefix[best_index] - above_root) / (
+                depth[best_index] - depth[root] + 1
+            )
         else:
-            active[root] = subtree_argmax(root)
+            best_index, score = subtree_argmax(root)
+        heapq.heappush(candidates, (-score, best_index, root))
 
     register_root(0)
     selected = set()
     paths_selected = 0
 
     while len(selected) < l:
-        check_deadline()  # per selected path: each iteration scans all roots
-        if not active:
+        check_deadline()  # per selected path
+        if not candidates:
             raise SummaryError("top-path ran out of candidate trees")  # pragma: no cover
-        # Max AI over active roots; ties broken by smallest best-node index.
-        winner_root = min(active, key=lambda idx: (-active[idx][1], active[idx][0]))
-        best_index, _best_score = active.pop(winner_root)
+        _score, best_index, winner_root = heapq.heappop(candidates)
         path: list[int] = []
         node = best_index
         while node >= winner_root:  # ancestors of best down to the tree root
             path.append(node)
             if node == winner_root:
                 break
-            node = int(parent[node])
+            node = parent[node]
         path.reverse()
         needed = l - len(selected)
         taken = path[:needed]  # "add first l - |size-l OS| nodes of p_i"
@@ -317,7 +186,7 @@ def _top_path_size_l_flat(
             break
         # Children of removed nodes become roots of new trees.
         for index in taken:
-            for child in range(int(child_lo[index]), int(child_hi[index])):
+            for child in range(child_lo[index], child_hi[index]):
                 if child not in selected:
                     register_root(child)
 

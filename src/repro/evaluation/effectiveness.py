@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.dp import optimal_size_l
-from repro.core.os_tree import ObjectSummary, SizeLResult
-from repro.evaluation.evaluators import SimulatedEvaluator, reweight
+from repro.core.os_tree import FlatOS, SizeLResult
+from repro.evaluation.evaluators import SimulatedEvaluator, local_weights, reweight
 from repro.ranking.store import ImportanceStore
 
-SizeLAlgorithm = Callable[[ObjectSummary, int], SizeLResult]
+SizeLAlgorithm = Callable[[FlatOS, int], SizeLResult]
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ def _overlap(computed: set[int], gold: set[int], l: int) -> float:  # noqa: E741
 
 
 def effectiveness_experiment(
-    os_trees: list[ObjectSummary],
+    os_trees: list[FlatOS],
     settings: dict[str, ImportanceStore],
     evaluators: list[SimulatedEvaluator],
     l_values: list[int],
@@ -63,11 +63,7 @@ def effectiveness_experiment(
         for l in l_values:  # noqa: E741
             overlaps: list[float] = []
             for tree_idx, tree in enumerate(os_trees):
-                weighted = reweight(
-                    tree,
-                    lambda node: store.importance(node.table, node.row_id)
-                    * node.gds.affinity,
-                )
+                weighted = reweight(tree, local_weights(tree, store))
                 computed = algorithm(weighted, l).selected_uids
                 for judge in evaluators:
                     overlaps.append(
@@ -85,7 +81,7 @@ def effectiveness_experiment(
 
 
 def greedy_effectiveness_impact(
-    os_trees: list[ObjectSummary],
+    os_trees: list[FlatOS],
     store: ImportanceStore,
     evaluators: list[SimulatedEvaluator],
     l_values: list[int],

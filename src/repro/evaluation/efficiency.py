@@ -22,10 +22,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.os_tree import ObjectSummary, SizeLResult
+from repro.core.os_tree import FlatOS, SizeLResult
 from repro.core.registry import get_algorithm
 
-SizeLAlgorithm = Callable[[ObjectSummary, int], SizeLResult]
+SizeLAlgorithm = Callable[[FlatOS, int], SizeLResult]
 
 #: Figure 10's three methods, resolved through the algorithm registry
 #: ("optimal" is the paper's name for the DP).
@@ -47,14 +47,14 @@ class EfficiencyRow:
     mean_os_size: float
 
 
-def _time_algorithm(algorithm: SizeLAlgorithm, tree: ObjectSummary, l: int) -> float:  # noqa: E741
+def _time_algorithm(algorithm: SizeLAlgorithm, tree: FlatOS, l: int) -> float:  # noqa: E741
     start = time.perf_counter()
     algorithm(tree, l)
     return time.perf_counter() - start
 
 
 def efficiency_experiment(
-    pairs: list[tuple[ObjectSummary, ObjectSummary]],
+    pairs: list[tuple[FlatOS, FlatOS]],
     l_values: list[int],
     algorithms: dict[str, SizeLAlgorithm] | None = None,
     dp_budget_nodes: int | None = 20_000,
@@ -103,7 +103,7 @@ def efficiency_experiment(
 
 
 def scalability_experiment(
-    trees: list[ObjectSummary],
+    trees: list[FlatOS],
     l: int = 10,  # noqa: E741
     algorithms: dict[str, SizeLAlgorithm] | None = None,
     dp_budget_nodes: int | None = 50_000,
@@ -172,8 +172,8 @@ def breakdown_experiment(
     rows: list[BreakdownRow] = []
     for l in l_values:  # noqa: E741
         gen_stats: dict[str, tuple[float, float, float]] = {}
-        complete_trees: list[ObjectSummary] = []
-        prelim_trees: list[ObjectSummary] = []
+        complete_trees: list[FlatOS] = []
+        prelim_trees: list[FlatOS] = []
 
         for backend_name in ("datagraph", "database"):
             engine.query_interface.reset_counters()

@@ -23,28 +23,43 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.dp import optimal_size_l
-from repro.core.os_tree import ObjectSummary, OSNode
+from repro.core.os_tree import FlatOS
 from repro.ranking.store import ImportanceStore
 
 
-def reweight(os_tree: ObjectSummary, weight_fn: Callable[[OSNode], float]) -> ObjectSummary:
-    """Clone *os_tree* with node weights replaced by ``weight_fn(node)``.
+def reweight(flat: FlatOS, weight: Sequence[float] | np.ndarray) -> FlatOS:
+    """*flat* with its weight column replaced by *weight* (one per node).
 
-    Node uids are preserved, so selections on the clone map 1:1 onto the
-    original tree.  Used both by the evaluators (private weights) and the
-    effectiveness driver (weights under each G_A setting).
+    The structure columns are shared, so node indices — and therefore
+    selections — map 1:1 onto the original tree.  Used both by the
+    evaluators (private weights) and the effectiveness driver (weights
+    under each G_A setting).
     """
-    clone = os_tree.materialise_subset(
-        {node.uid for node in os_tree.nodes}, kind=os_tree.kind
+    return FlatOS(
+        parent=flat.parent,
+        depth=flat.depth,
+        gds_node_id=flat.gds_node_id,
+        row_id=flat.row_id,
+        weight=np.asarray(weight, dtype=np.float64),
+        gds=flat.gds,
+        db=flat.db,
+        kind=flat.kind,
     )
-    for node in clone.nodes:
-        node.weight = weight_fn(node)
-    return clone
+
+
+def local_weights(flat: FlatOS, store: ImportanceStore) -> np.ndarray:
+    """Equation 3 under *store* for every node of *flat*: Im(t_i) · Af(t_i)."""
+    weight = np.empty(flat.size, dtype=np.float64)
+    for node in flat.gds.nodes():
+        mask = flat.gds_node_id == node.node_id
+        if mask.any():
+            weight[mask] = store.local_importance_many(node, flat.row_id[mask])
+    return weight
 
 
 @dataclass
@@ -94,19 +109,25 @@ class SimulatedEvaluator:
             table, row_id
         )
 
-    def private_weight(self, node: OSNode, l: int) -> float:  # noqa: E741
-        """Private local importance, including the small-l depth-1 bias."""
-        weight = self.private_importance(node.table, node.row_id) * node.gds.affinity
-        if node.depth == 1:
-            weight *= 1.0 + self.config.depth1_bias / l
-        return weight
+    def private_weights(self, flat: FlatOS, l: int) -> list[float]:  # noqa: E741
+        """Private local importances, including the small-l depth-1 bias."""
+        weights: list[float] = []
+        for index, (row_id, depth) in enumerate(
+            zip(flat.row_id.tolist(), flat.depth.tolist())
+        ):
+            gds_node = flat.gds_node(index)
+            weight = self.private_importance(gds_node.table, row_id) * gds_node.affinity
+            if depth == 1:
+                weight *= 1.0 + self.config.depth1_bias / l
+            weights.append(weight)
+        return weights
 
     # ------------------------------------------------------------------ #
     # Gold summaries
     # ------------------------------------------------------------------ #
-    def gold_selection(self, os_tree: ObjectSummary, l: int) -> set[int]:  # noqa: E741
+    def gold_selection(self, flat: FlatOS, l: int) -> set[int]:  # noqa: E741
         """The judge's own size-l OS (DP-optimal under private weights)."""
-        personal = reweight(os_tree, lambda node: self.private_weight(node, l))
+        personal = reweight(flat, self.private_weights(flat, l))
         return optimal_size_l(personal, l).selected_uids
 
 

@@ -13,10 +13,10 @@ from typing import Callable
 
 from repro.core.bottom_up import bottom_up_size_l
 from repro.core.dp import optimal_size_l
-from repro.core.os_tree import ObjectSummary, SizeLResult
+from repro.core.os_tree import FlatOS, SizeLResult
 from repro.core.top_path import top_path_size_l
 
-SizeLAlgorithm = Callable[[ObjectSummary, int], SizeLResult]
+SizeLAlgorithm = Callable[[FlatOS, int], SizeLResult]
 
 DEFAULT_METHODS: dict[str, SizeLAlgorithm] = {
     "bottom_up": bottom_up_size_l,
@@ -36,7 +36,7 @@ class QualityRow:
 
 
 def quality_experiment(
-    pairs: list[tuple[ObjectSummary, ObjectSummary]],
+    pairs: list[tuple[FlatOS, FlatOS]],
     l_values: list[int],
     methods: dict[str, SizeLAlgorithm] | None = None,
 ) -> list[QualityRow]:

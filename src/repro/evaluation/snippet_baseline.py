@@ -17,23 +17,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.os_tree import ObjectSummary
+from repro.core.os_tree import FlatOS
 from repro.evaluation.evaluators import SimulatedEvaluator
 from repro.util.rng import derive_rng
 
 
-def static_snippet(os_tree: ObjectSummary, k: int = 3, seed: int = 0) -> set[int]:
-    """Node uids a static document snippet would surface.
+def static_snippet(os_tree: FlatOS, k: int = 3, seed: int = 0) -> set[int]:
+    """Node indices a static document snippet would surface.
 
     The root (the file's header: "Search for Christos Faloutsos ...") is
     always shown; the body contributes the first ``k`` tuples of the OS in
     a seeded random serialisation order — document snippets know nothing
     about tuple importance or relational structure.
     """
-    rng = derive_rng(seed, "snippet", os_tree.root.uid, os_tree.size)
-    body = [node.uid for node in os_tree.nodes if node.uid != os_tree.root.uid]
+    rng = derive_rng(seed, "snippet", 0, os_tree.size)  # the root is index 0
+    body = list(range(1, os_tree.size))
     rng.shuffle(body)
-    return {os_tree.root.uid} | set(body[:k])
+    return {0} | set(body[:k])
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class SnippetOverlapRow:
 
 
 def snippet_overlap_experiment(
-    os_trees: list[ObjectSummary],
+    os_trees: list[FlatOS],
     evaluators: list[SimulatedEvaluator],
     l: int = 5,  # noqa: E741
     k: int = 3,
@@ -62,7 +62,7 @@ def snippet_overlap_experiment(
             gold = judge.gold_selection(tree, l)
             # The root is trivially shared (both always include t_DS); the
             # paper counts informative tuples, so exclude it.
-            overlap = len((snippet & gold) - {tree.root.uid})
+            overlap = len((snippet & gold) - {0})
             rows.append(
                 SnippetOverlapRow(
                     tree_index=tree_idx,

@@ -104,7 +104,6 @@ _OPTION_FIELDS = (
     "backend",
     "max_results",
     "depth_limit",
-    "flat",
     "snapshot",
     "parallel",
 )
@@ -127,18 +126,6 @@ def decode_options(payload: object, *, defaults: QueryOptions | None = None) -> 
     changes: dict[str, Any] = {
         key: payload[key] for key in _OPTION_FIELDS[:-1] if key in payload
     }
-    if "flat" not in payload and any(
-        key in payload for key in ("source", "backend", "algorithm")
-    ):
-        # *defaults* went through normalized(), which canonicalizes
-        # flat=True down to False when ITS source/backend/algorithm combo
-        # cannot run columnar (e.g. a prelim-source default).  A request
-        # that changes that combo must re-opt into the hot path (and the
-        # snapshot disk tier behind it) rather than inherit the stale
-        # canonicalization; normalized() below re-canonicalizes for the
-        # requested combo.  Pinning "flat": false in the request still
-        # forces the legacy path.
-        changes["flat"] = True
     if "parallel" in payload and payload["parallel"] is not None:
         parallel = _require_mapping(payload["parallel"], "options.parallel")
         _reject_unknown(parallel, ("workers", "ordered"), "options.parallel")

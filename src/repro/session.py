@@ -38,7 +38,7 @@ from typing import Any, Iterable, Iterator
 from repro.core.cache import CacheStats, SummaryCache
 from repro.core.engine import KeywordResult, SizeLEngine
 from repro.core.options import ParallelConfig, QueryOptions, resolve_options
-from repro.core.os_tree import ObjectSummary, SizeLResult
+from repro.core.os_tree import FlatOS, SizeLResult
 from repro.core.prelim import PrelimStats
 from repro.ranking.store import ImportanceStore
 from repro.reliability.deadline import bind_deadline, current_deadline
@@ -493,9 +493,9 @@ class Session:
     # ------------------------------------------------------------------ #
     # Pass-throughs and management
     # ------------------------------------------------------------------ #
-    def complete_os(self, rds_table: str, row_id: int) -> ObjectSummary:
+    def complete_os(self, rds_table: str, row_id: int) -> FlatOS:
         """The (cached) complete OS of a Data Subject."""
-        return self.cache.complete_os(rds_table, row_id)
+        return self.cache.complete_os_flat(rds_table, row_id)
 
     def prelim_os(
         self,
@@ -503,7 +503,7 @@ class Session:
         row_id: int,
         l: int,  # noqa: E741
         backend: object = None,
-    ) -> tuple[ObjectSummary, PrelimStats]:
+    ) -> tuple[FlatOS, PrelimStats]:
         if backend is None:
             return self.engine.prelim_os(rds_table, row_id, l)
         return self.engine.prelim_os(rds_table, row_id, l, backend=backend)

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.generation import _origin_row
-from repro.core.os_tree import OSNode
+from repro.core.generation import top_children
 from repro.core.registry import register_backend
 from repro.db.database import Database
 from repro.errors import SummaryError
@@ -112,24 +111,26 @@ class SQLiteBackend:
     # ------------------------------------------------------------------ #
     # GenerationBackend protocol
     # ------------------------------------------------------------------ #
-    def children(self, gds_child: GDSNode, parent: OSNode) -> list[int]:
-        sql = self._template(parent.table, gds_child)
-        join = gds_child.join
-        origin = _origin_row(gds_child, parent)
-        if isinstance(join, JunctionJoin) and origin is not None:
+    def children(
+        self, gds_child: GDSNode, parent_row: int, origin_row: int | None
+    ) -> list[int]:
+        assert gds_child.parent is not None
+        sql = self._template(gds_child.parent.table, gds_child)
+        if isinstance(gds_child.join, JunctionJoin) and origin_row is not None:
             return self._select(
                 sql.replace(
                     "WHERE p.repro_row_id = ?",
                     "WHERE p.repro_row_id = ? AND t.repro_row_id != ?",
                 ),
-                (parent.row_id, origin),
+                (parent_row, origin_row),
             )
-        return self._select(sql, (parent.row_id,))
+        return self._select(sql, (parent_row,))
 
     def children_top(
         self,
         gds_child: GDSNode,
-        parent: OSNode,
+        parent_row: int,
+        origin_row: int | None,
         store: ImportanceStore,
         threshold: float,
         limit: int,
@@ -137,13 +138,8 @@ class SQLiteBackend:
         # One statement fetches the candidates; the li > threshold filter
         # and the (score desc, row asc) order are applied client-side,
         # exactly as DatabaseBackend.children_top / select_top_where_eq do.
-        scored = []
-        for row in self.children(gds_child, parent):
-            score = store.local_importance(gds_child, row)
-            if score > threshold:
-                scored.append((score, -row, row))
-        scored.sort(reverse=True)
-        return [row for _score, _neg, row in scored[:limit]]
+        rows = self.children(gds_child, parent_row, origin_row)
+        return top_children(gds_child, rows, store, threshold, limit)
 
 
 @register_backend("sqlite")

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.engine import SizeLEngine
-from repro.core.os_tree import ObjectSummary, OSNode
+from repro.core.os_tree import FlatOS
 from repro.datasets.dblp import DBLPDataset, small_dblp
 from repro.datasets.tpch import TPCHDataset, small_tpch
 from repro.ranking.objectrank import compute_objectrank
 from repro.ranking.valuerank import compute_valuerank
 from repro.ranking.store import ImportanceStore
-from repro.schema_graph.gds import GDSNode
+from repro.schema_graph.gds import GDS, GDSNode
 
 
 # --------------------------------------------------------------------- #
@@ -73,27 +74,41 @@ def tpch_engine(tpch: TPCHDataset, tpch_store: ImportanceStore) -> SizeLEngine:
 # --------------------------------------------------------------------- #
 # Synthetic OS trees (no database needed) for algorithm tests
 # --------------------------------------------------------------------- #
-def make_tree(structure: dict[int, list[int]], weights: dict[int, float]) -> ObjectSummary:
-    """Build an ObjectSummary from ``parent_uid -> [child_uids]`` + weights.
+def make_tree(structure: dict[int, list[int]], weights: dict[int, float]) -> FlatOS:
+    """Build a FlatOS from ``parent_number -> [child_numbers]`` + weights.
 
-    uid 0 is the root.  G_DS nodes are synthetic one-per-depth stubs (the
-    algorithms only read weights and shape).
+    Node number 0 is the root.  Indices follow BFS order (children in list
+    order), and each node's ``row_id`` is its number, so tests read node
+    numbers back through ``row_id`` (:func:`numbers`).  The G_DS is a
+    single stub node (the algorithms only read weights and shape).
     """
-    gds_stub = GDSNode(0, "Stub", "stub", None, None, 1.0)
-    nodes: dict[int, OSNode] = {0: OSNode(0, gds_stub, 0, None, weights[0])}
-    pending = [0]
-    while pending:
-        uid = pending.pop()
-        for child_uid in structure.get(uid, []):
-            child = OSNode(child_uid, gds_stub, child_uid, nodes[uid], weights[child_uid])
-            nodes[uid].children.append(child)
-            nodes[child_uid] = child
-            pending.append(child_uid)
-    return ObjectSummary(nodes[0], db=None, kind="complete")
+    order, parent, depth = [0], [-1], [0]
+    cursor = 0
+    while cursor < len(order):
+        for child in structure.get(order[cursor], []):
+            order.append(child)
+            parent.append(cursor)
+            depth.append(depth[cursor] + 1)
+        cursor += 1
+    return FlatOS(
+        parent=np.array(parent, dtype=np.int32),
+        depth=np.array(depth, dtype=np.int32),
+        gds_node_id=np.zeros(len(order), dtype=np.int32),
+        row_id=np.array(order, dtype=np.int32),
+        weight=np.array([weights[number] for number in order], dtype=np.float64),
+        gds=GDS(GDSNode(0, "Stub", "stub", None, None, 1.0)),
+        db=None,
+        kind="complete",
+    )
+
+
+def numbers(tree: FlatOS, indices) -> set[int]:
+    """The node numbers (``row_id``) of *indices* in a :func:`make_tree` tree."""
+    return {int(tree.row_id[i]) for i in indices}
 
 
 @pytest.fixture()
-def chain_tree() -> ObjectSummary:
+def chain_tree() -> FlatOS:
     """0 — 1 — 2 — 3 — 4 with increasing weights at depth."""
     structure = {0: [1], 1: [2], 2: [3], 3: [4]}
     weights = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0, 4: 5.0}
@@ -101,7 +116,7 @@ def chain_tree() -> ObjectSummary:
 
 
 @pytest.fixture()
-def star_tree() -> ObjectSummary:
+def star_tree() -> FlatOS:
     """Root with five leaves of distinct weights."""
     structure = {0: [1, 2, 3, 4, 5]}
     weights = {0: 10.0, 1: 5.0, 2: 4.0, 3: 3.0, 4: 2.0, 5: 1.0}
@@ -109,7 +124,7 @@ def star_tree() -> ObjectSummary:
 
 
 @pytest.fixture()
-def paper_figure4_tree() -> ObjectSummary:
+def paper_figure4_tree() -> FlatOS:
     """The Figure 4 example tree (weights from the paper's node labels).
 
     Structure reconstructed from the DP table in the figure: depth-1

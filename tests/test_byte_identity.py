@@ -239,6 +239,17 @@ class TestPinnedBodies:
         replies = both(single_http, cluster_http, "/v1/query", {"dataset": "dblp"})
         assert_identical(*replies, 400)
         assert json.loads(replies[0][2])["error"]["type"] == "RequestValidationError"
+        # an options field the protocol does not define
+        payload = {
+            "dataset": "dblp",
+            "keywords": KEYWORDS,
+            "options": {**OPTIONS, "source": "complete", "flat": False},
+        }
+        replies = both(single_http, cluster_http, "/v1/query", payload)
+        assert_identical(*replies, 400)
+        error = json.loads(replies[0][2])["error"]
+        assert error["type"] == "RequestValidationError"
+        assert "unknown field" in error["message"] and "flat" in error["message"]
 
     def test_400_stale_cursor(self, single_http, cluster_http) -> None:
         payload = {

@@ -24,8 +24,8 @@ from repro.errors import SummaryError
 class TestCompleteOSCache:
     def test_second_fetch_is_a_hit_and_same_object(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine)
-        first = cache.complete_os("author", 1)
-        second = cache.complete_os("author", 1)
+        first = cache.complete_os_flat("author", 1)
+        second = cache.complete_os_flat("author", 1)
         assert first is second
         stats = cache.stats()
         assert stats["hits"] == 1
@@ -35,27 +35,21 @@ class TestCompleteOSCache:
 
     def test_lru_eviction(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine, max_subjects=2)
-        a = cache.complete_os("author", 1)
-        cache.complete_os("author", 2)
-        cache.complete_os("author", 3)  # evicts subject 1
+        a = cache.complete_os_flat("author", 1)
+        cache.complete_os_flat("author", 2)
+        cache.complete_os_flat("author", 3)  # evicts subject 1
         assert cache.cached_subjects == 2
         assert cache.stats()["evictions"] == 1
-        again = cache.complete_os("author", 1)
+        again = cache.complete_os_flat("author", 1)
         assert again is not a  # regenerated after eviction
 
     def test_touch_refreshes_lru_order(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine, max_subjects=2)
-        a = cache.complete_os("author", 1)
-        cache.complete_os("author", 2)
-        cache.complete_os("author", 1)  # touch 1: now 2 is the LRU entry
-        cache.complete_os("author", 3)  # evicts 2, keeps 1
-        assert cache.complete_os("author", 1) is a
-
-    def test_flat_and_legacy_share_one_subject_slot(self, dblp_engine) -> None:
-        cache = SummaryCache(dblp_engine, max_subjects=2)
-        cache.complete_os("author", 1)
-        cache.complete_os_flat("author", 1)
-        assert cache.cached_subjects == 1
+        a = cache.complete_os_flat("author", 1)
+        cache.complete_os_flat("author", 2)
+        cache.complete_os_flat("author", 1)  # touch 1: now 2 is the LRU entry
+        cache.complete_os_flat("author", 3)  # evicts 2, keeps 1
+        assert cache.complete_os_flat("author", 1) is a
 
     def test_bad_capacity(self, dblp_engine) -> None:
         with pytest.raises(ValueError):
@@ -129,7 +123,7 @@ class TestAtomicEviction:
         cache = SummaryCache(dblp_engine, max_subjects=2)
         cache.size_l("author", 1, 5)  # subject 1: tree + memo
         cache.size_l("author", 2, 5)  # subject 2: tree + memo
-        cache.complete_os("author", 1)  # touch subject 1 via its *tree*
+        cache.complete_os_flat("author", 1)  # touch subject 1 via its *tree*
         cache.size_l("author", 3, 5)  # evicts subject 2, not 1
         # subject 1's memo must still be served from cache
         again = cache.size_l("author", 1, 5)
@@ -159,28 +153,28 @@ class TestAtomicEviction:
 class TestInvalidation:
     def test_invalidate_all(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine)
-        cache.complete_os("author", 1)
+        cache.complete_os_flat("author", 1)
         cache.invalidate()
         assert cache.cached_subjects == 0
 
     def test_invalidate_one_subject(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine)
-        cache.complete_os("author", 1)
-        cache.complete_os("author", 2)
+        cache.complete_os_flat("author", 1)
+        cache.complete_os_flat("author", 2)
         cache.invalidate("author", 1)
         assert cache.cached_subjects == 1
 
     def test_invalidate_table(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine)
-        cache.complete_os("author", 1)
-        cache.complete_os("paper", 1)
+        cache.complete_os_flat("author", 1)
+        cache.complete_os_flat("paper", 1)
         cache.invalidate("author")
         assert cache.cached_subjects == 1
 
     def test_invalidate_row_without_table_raises(self, dblp_engine) -> None:
         # This used to silently clear the ENTIRE cache, ignoring row_id.
         cache = SummaryCache(dblp_engine)
-        cache.complete_os("author", 1)
+        cache.complete_os_flat("author", 1)
         with pytest.raises(ValueError, match="requires rds_table"):
             cache.invalidate(row_id=5)
         assert cache.cached_subjects == 1  # nothing was dropped
@@ -201,7 +195,7 @@ class TestCountingBugfix:
 
     def test_cached_results_tracks_memos_not_trees(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine)
-        cache.complete_os("author", 1)  # tree only, no memo
+        cache.complete_os_flat("author", 1)  # tree only, no memo
         assert cache.cached_subjects == 1
         assert cache.cached_results == 0
         cache.size_l("author", 1, 5)

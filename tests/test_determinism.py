@@ -35,7 +35,7 @@ def twin_engines():
 def _signature(tree) -> list[tuple[str, int, int]]:
     return [
         (n.gds.label, n.row_id, n.parent.row_id if n.parent else -1)
-        for n in tree.nodes
+        for n in tree.to_object_summary().nodes
     ]
 
 

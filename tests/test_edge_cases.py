@@ -132,7 +132,7 @@ class TestSelfReferentialSchema:
         store = ImportanceStore.uniform(hierarchy_db)
         backend = DataGraphBackend(hierarchy_db, build_data_graph(hierarchy_db))
         os_tree = generate_os(1, gds, backend, store)  # vp-a
-        rows = {(n.depth, n.row_id) for n in os_tree.nodes}
+        rows = set(zip(os_tree.depth.tolist(), os_tree.row_id.tolist()))
         assert (0, 1) in rows  # self
         assert (1, 0) in rows  # manager (ceo)
         assert (1, 3) in rows  # report (eng)
@@ -163,7 +163,7 @@ class TestRenderingDegenerates:
     def test_single_node_render(self, dblp_engine) -> None:
         tree = dblp_engine.complete_os("author", 0, depth_limit=0)
         assert tree.size == 1
-        assert tree.render().startswith("Author: ")
+        assert tree.to_object_summary().render().startswith("Author: ")
 
     def test_render_null_attribute_skipped(self, orphan_db) -> None:
         graph = SchemaGraph(orphan_db)
@@ -172,4 +172,4 @@ class TestRenderingDegenerates:
         store = ImportanceStore.uniform(orphan_db)
         backend = DataGraphBackend(orphan_db, build_data_graph(orphan_db))
         tree = generate_os(1, gds, backend, store)
-        assert "None" not in tree.render()
+        assert "None" not in tree.to_object_summary().render()

@@ -9,7 +9,7 @@ from repro.core.export import result_to_dict, result_to_json, summary_to_dict
 
 class TestSummaryExport:
     def test_tree_shape_preserved(self, dblp_engine) -> None:
-        tree = dblp_engine.complete_os("author", 2)
+        tree = dblp_engine.complete_os("author", 2).to_object_summary()
         payload = summary_to_dict(tree)
         assert payload["size"] == tree.size
 
@@ -19,15 +19,15 @@ class TestSummaryExport:
         assert count(payload["root"]) == tree.size
 
     def test_attributes_included_with_db(self, dblp_engine) -> None:
-        tree = dblp_engine.complete_os("author", 0)
+        tree = dblp_engine.complete_os("author", 0).to_object_summary()
         payload = summary_to_dict(tree)
         assert payload["root"]["attributes"] == {"name": "Christos Faloutsos"}
         assert payload["root"]["pk"] == 0
 
     def test_no_db_omits_attributes(self, star_tree) -> None:
-        payload = summary_to_dict(star_tree)
+        payload = summary_to_dict(star_tree.to_object_summary())
         assert "attributes" not in payload["root"]
-        assert payload["root"]["weight"] == star_tree.root.weight
+        assert payload["root"]["weight"] == star_tree.weight[0]
 
 
 class TestResultExport:

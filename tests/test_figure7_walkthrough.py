@@ -196,7 +196,7 @@ class TestFigure7Walkthrough:
     def test_prelim_contains_exact_top_5(self, figure7) -> None:
         db, gds, store, backend, a1 = figure7
         prelim, stats = generate_prelim_os(a1, gds, backend, store, l=5)
-        weights = sorted((n.weight for n in prelim.nodes), reverse=True)[:5]
+        weights = sorted(prelim.weight.tolist(), reverse=True)[:5]
         assert weights == pytest.approx([0.70, 0.60, 0.40, 0.40, 0.37])
 
     def test_conference_subtree_avoided(self, figure7) -> None:
@@ -204,7 +204,9 @@ class TestFigure7Walkthrough:
         0.13, conference joins are never issued."""
         db, gds, store, backend, a1 = figure7
         prelim, stats = generate_prelim_os(a1, gds, backend, store, l=5)
-        assert all(n.table != "conference" for n in prelim.nodes)
+        assert all(
+            prelim.gds_node(i).table != "conference" for i in range(prelim.size)
+        )
         assert stats.avoided_subtrees >= 1
 
     def test_condition_2_fires_on_leaf_relations(self, figure7) -> None:

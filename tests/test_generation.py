@@ -13,25 +13,24 @@ def _tree_signature(tree) -> list[tuple[str, int, int]]:
     """Structure signature independent of uid assignment order."""
     return sorted(
         (node.gds.label, node.row_id, node.parent.row_id if node.parent else -1)
-        for node in tree.nodes
+        for node in tree.to_object_summary().nodes
     )
 
 
 class TestGeneration:
     def test_root_is_tds(self, dblp_engine) -> None:
         tree = dblp_engine.complete_os("author", 0)
-        assert tree.root.table == "author"
-        assert tree.root.row_id == 0
-        assert tree.root.depth == 0
+        assert tree.gds_node(0).table == "author"
+        assert tree.row_id[0] == 0
+        assert tree.depth[0] == 0
 
     def test_children_follow_gds(self, dblp_engine) -> None:
         tree = dblp_engine.complete_os("author", 0)
-        for node in tree.nodes:
-            for child in node.children:
-                assert child.gds.parent is node.gds
+        for child in range(1, tree.size):
+            assert tree.gds_node(child).parent is tree.gds_node(tree.parent[child])
 
     def test_weights_are_local_importance(self, dblp_engine, dblp_store) -> None:
-        tree = dblp_engine.complete_os("author", 0)
+        tree = dblp_engine.complete_os("author", 0).to_object_summary()
         for node in tree.nodes[:50]:
             expected = dblp_store.importance(node.table, node.row_id) * node.gds.affinity
             assert node.weight == pytest.approx(expected)
@@ -59,13 +58,14 @@ class TestGeneration:
 
     def test_max_nodes_guard(self, dblp_engine, dblp_store) -> None:
         gds = dblp_engine.gds_for("author")
-        backend = dblp_engine.backend("datagraph")
-        with pytest.raises(SummaryError, match="max_nodes"):
-            generate_os(0, gds, backend, dblp_store, max_nodes=5)
+        for kind in ("datagraph", "database"):
+            backend = dblp_engine.backend(kind)
+            with pytest.raises(SummaryError, match="max_nodes"):
+                generate_os(0, gds, backend, dblp_store, max_nodes=5)
 
     def test_coauthor_excludes_the_data_subject(self, dblp_engine) -> None:
         """Example 4/5: Christos never appears as his own co-author."""
-        tree = dblp_engine.complete_os("author", 0)
+        tree = dblp_engine.complete_os("author", 0).to_object_summary()
         for node in tree.nodes:
             if node.gds.label == "Co_Author":
                 assert node.row_id != tree.root.row_id
@@ -73,7 +73,7 @@ class TestGeneration:
     def test_coauthors_of_joint_paper_present(self, dblp_engine, dblp) -> None:
         """Paper 0 is co-authored by the whole family: Christos's OS must
         show Michalis and Petros as co-authors under it."""
-        tree = dblp_engine.complete_os("author", 0)
+        tree = dblp_engine.complete_os("author", 0).to_object_summary()
         author_table = dblp.db.table("author")
         coauthor_pks = {
             author_table.pk_of_row(node.row_id)
@@ -83,7 +83,7 @@ class TestGeneration:
         assert {1, 2} <= coauthor_pks  # Michalis, Petros
 
     def test_multiple_occurrences_of_same_tuple_allowed(self, dblp_engine) -> None:
-        tree = dblp_engine.complete_os("author", 0)
+        tree = dblp_engine.complete_os("author", 0).to_object_summary()
         seen: dict[tuple[str, int], int] = {}
         for node in tree.nodes:
             key = (node.table, node.row_id)
@@ -104,10 +104,8 @@ class TestBackendUnits:
         dblp_engine.complete_os("author", 0)
         # Fresh backend per call; instrument directly:
         gds = dblp_engine.gds_for("author")
-        from repro.core.generation import generate_os as gen
-
-        gen(0, gds, backend, dblp_engine.store)
-        assert backend.nodes_visited > 0
+        tree = generate_os(0, gds, backend, dblp_engine.store)
+        assert backend.nodes_visited == tree.size - 1  # every non-root fetched
 
     def test_unknown_backend_kind(self, dblp_engine) -> None:
         with pytest.raises(SummaryError):
@@ -116,12 +114,10 @@ class TestBackendUnits:
     def test_children_top_threshold_and_limit(self, dblp_engine, dblp_store) -> None:
         gds = dblp_engine.gds_for("author")
         paper_node = gds.node("Paper")
-        for kind in ("datagraph", "database"):
+        for kind in ("datagraph", "database", "sqlite"):
             backend = dblp_engine.backend(kind)
-            tree = dblp_engine.complete_os("author", 0)
-            root = tree.root
-            everything = backend.children(paper_node, root)
-            capped = backend.children_top(paper_node, root, dblp_store, 0.0, 3)
+            everything = backend.children(paper_node, 0, None)
+            capped = backend.children_top(paper_node, 0, None, dblp_store, 0.0, 3)
             assert len(capped) == min(3, len(everything))
             scores = [dblp_store.local_importance(paper_node, r) for r in capped]
             assert scores == sorted(scores, reverse=True)
@@ -135,7 +131,6 @@ class TestBackendUnits:
         qi = QueryInterface(dblp_engine.db)
         backend = DatabaseBackend(qi)
         gds = dblp_engine.gds_for("author")
-        tree = dblp_engine.complete_os("author", 0)
         qi.reset_counters()
-        backend.children_top(gds.node("Paper"), tree.root, dblp_store, 1e12, 5)
+        backend.children_top(gds.node("Paper"), 0, None, dblp_store, 1e12, 5)
         assert qi.io_accesses == 1  # empty result still costs one access

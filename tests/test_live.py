@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core.engine import SizeLEngine
-from repro.core.os_tree import OSNode
+from repro.core.generation import DataGraphBackend
+from repro.core.os_tree import FlatOS, OSNode
 from repro.datasets.dblp import small_dblp
 from repro.db.index import HashIndex
 from repro.db.mutation import Delete, Insert, Update
@@ -37,6 +39,8 @@ from repro.errors import (
 from repro.live import APPLY_FAULT_SITE
 from repro.reliability import FaultPlan, FaultRule, install, uninstall
 from repro.session import Session
+
+from tests.oracles import assert_same_tree, generate_prelim_os_nodes
 
 KEYWORDS = ["Faloutsos"]
 
@@ -272,9 +276,29 @@ class TestIncrementalEqualsRebuild:
             assert canonical(live.summary.root) == canonical(fresh.summary.root)
 
     def test_complete_os_equal(self, mutated_session, rebuilt) -> None:
-        live = mutated_session.complete_os("author", 5)
-        fresh = rebuilt.complete_os("author", 5)
+        live = mutated_session.complete_os("author", 5).to_object_summary()
+        fresh = rebuilt.complete_os("author", 5).to_object_summary()
         assert canonical(live.root) == canonical(fresh.root)
+
+    def test_prelim_os_equals_oracle_on_live_graph(
+        self, mutated_session, rebuilt
+    ) -> None:
+        """Algorithm 4's FlatOS over the overlaid (live) data graph equals
+        the node-based oracle over the same graph, node for node with
+        identical avoidance counters, and the rebuilt engine's answer."""
+        engine = mutated_session.engine
+        for subject in [("author", 5), ("paper", 2)]:
+            flat, stats = engine.prelim_os(*subject, 8)
+            tree, oracle_stats = generate_prelim_os_nodes(
+                subject[1], engine.gds_for(subject[0]),
+                DataGraphBackend(engine.db, engine.data_graph), engine.store, 8,
+            )
+            assert_same_tree(flat, tree)
+            assert stats == oracle_stats
+            fresh, fresh_stats = rebuilt.prelim_os(*subject, 8)
+            for column in FlatOS.ARENA_FIELDS:
+                assert np.array_equal(getattr(fresh, column), getattr(flat, column))
+            assert fresh_stats == stats
 
     def test_compaction_preserves_answers(self, mutated_session) -> None:
         before = [
@@ -572,7 +596,7 @@ class TestChaosHammer:
             # iterations — a fast writer must not void the test
             while (not stop.is_set() or checks[slot] < 5) and not errors:
                 with session.guard().read():
-                    summary = session.complete_os("author", author_row)
+                    summary = session.complete_os("author", author_row).to_object_summary()
                     name_epoch = epoch_of(db.table("author").row(author_row)[1])
                     title_epoch = epoch_of(db.table("paper").row(paper_row)[1])
                     rendered = summary.render()

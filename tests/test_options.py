@@ -83,7 +83,7 @@ class TestQueryOptionsValidation:
         assert opts.algorithm_name == "dp"
         assert opts.source_name == "complete"
         assert opts.backend_name == "datagraph"
-        assert opts.cache_key() == (7, "dp", "complete", "datagraph", None, True)
+        assert opts.cache_key() == (7, "dp", "complete", "datagraph", None)
 
 
 class TestResolveOptionsShim:

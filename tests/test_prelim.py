@@ -5,11 +5,19 @@ from __future__ import annotations
 import pytest
 
 from repro.core.dp import optimal_size_l
-from repro.core.os_tree import ObjectSummary
+from repro.core.os_tree import FlatOS
 
 
-def _top_l_local_importances(tree: ObjectSummary, l: int) -> list[float]:  # noqa: E741
-    return sorted((node.weight for node in tree.nodes), reverse=True)[:l]
+def _top_l_local_importances(tree: FlatOS, l: int) -> list[float]:  # noqa: E741
+    return sorted(tree.weight.tolist(), reverse=True)[:l]
+
+
+def _signature(tree: FlatOS) -> list[tuple[str, int, int]]:
+    """(G_DS label, row, parent row) of every node — uid-order independent."""
+    return sorted(
+        (n.gds.label, n.row_id, n.parent.row_id if n.parent else -1)
+        for n in tree.to_object_summary().nodes
+    )
 
 
 class TestDefinition2:
@@ -21,7 +29,7 @@ class TestDefinition2:
         complete = dblp_engine.complete_os("author", row_id)
         prelim, stats = dblp_engine.prelim_os("author", row_id, l)
         expected = _top_l_local_importances(complete, min(l, complete.size))
-        got = sorted((node.weight for node in prelim.nodes), reverse=True)[: len(expected)]
+        got = _top_l_local_importances(prelim, len(expected))
         assert got == pytest.approx(expected)
 
     @pytest.mark.parametrize("l", [5, 15])
@@ -29,21 +37,13 @@ class TestDefinition2:
         complete = tpch_engine.complete_os("customer", 1)
         prelim, _stats = tpch_engine.prelim_os("customer", 1, l)
         expected = _top_l_local_importances(complete, min(l, complete.size))
-        got = sorted((node.weight for node in prelim.nodes), reverse=True)[: len(expected)]
+        got = _top_l_local_importances(prelim, len(expected))
         assert got == pytest.approx(expected)
 
     def test_prelim_is_subset_of_complete(self, dblp_engine) -> None:
         complete = dblp_engine.complete_os("author", 0)
         prelim, _stats = dblp_engine.prelim_os("author", 0, 10)
-        complete_keys = {
-            (n.gds.label, n.row_id, n.parent.row_id if n.parent else -1)
-            for n in complete.nodes
-        }
-        prelim_keys = {
-            (n.gds.label, n.row_id, n.parent.row_id if n.parent else -1)
-            for n in prelim.nodes
-        }
-        assert prelim_keys <= complete_keys
+        assert set(_signature(prelim)) <= set(_signature(complete))
         assert prelim.size <= complete.size
 
     def test_prelim_smaller_than_complete(self, dblp_engine) -> None:
@@ -63,11 +63,7 @@ class TestDefinition2:
     def test_backend_equivalence_for_prelim(self, dblp_engine) -> None:
         via_graph, _ = dblp_engine.prelim_os("author", 1, 8, backend="datagraph")
         via_db, _ = dblp_engine.prelim_os("author", 1, 8, backend="database")
-        sig = lambda t: sorted(  # noqa: E731
-            (n.gds.label, n.row_id, n.parent.row_id if n.parent else -1)
-            for n in t.nodes
-        )
-        assert sig(via_graph) == sig(via_db)
+        assert _signature(via_graph) == _signature(via_db)
 
 
 class TestLemma3:
@@ -95,8 +91,8 @@ class TestLemma3:
         for row_id in range(3):
             complete = uniform_engine.complete_os(rds, row_id)
             assert all(
-                node.parent is None or node.weight <= node.parent.weight + 1e-12
-                for node in complete.nodes
+                complete.weight[i] <= complete.weight[complete.parent[i]] + 1e-12
+                for i in range(1, complete.size)
             ), "uniform scores must make OSs monotone (Eq. 1)"
             prelim, _stats = uniform_engine.prelim_os(rds, row_id, l)
             dp_complete = optimal_size_l(complete, l)

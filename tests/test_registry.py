@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.generation import DataGraphBackend
 from repro.core.options import QueryOptions, Source
-from repro.core.os_tree import ObjectSummary, SizeLResult
+from repro.core.os_tree import FlatOS, SizeLResult
 from repro.core.registry import (
     ALGORITHM_REGISTRY,
     BACKEND_REGISTRY,
@@ -20,9 +20,10 @@ from repro.core.registry import (
 from repro.errors import RegistryError, SummaryError
 
 
-def first_l_size_l(tree: ObjectSummary, l: int) -> SizeLResult:  # noqa: E741
+def first_l_size_l(tree: FlatOS, l: int) -> SizeLResult:  # noqa: E741
     """A deliberately naive plugin: keep the first l nodes in BFS order."""
-    uids = {node.uid for node in tree.nodes[: l]}
+    assert isinstance(tree, FlatOS)  # plugins receive the columnar OS
+    uids = set(range(min(l, tree.size)))
     subset = tree.materialise_subset(uids)
     return SizeLResult(
         summary=subset,

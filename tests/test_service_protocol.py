@@ -54,7 +54,6 @@ query_options = st.builds(
     backend=st.sampled_from(["datagraph", "database"]),
     max_results=st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
     depth_limit=st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
-    flat=st.booleans(),
     snapshot=st.booleans(),
     parallel=parallel_configs,
 )
@@ -210,6 +209,9 @@ class TestValidation:
     def test_unknown_options_field_rejected(self) -> None:
         with pytest.raises(RequestValidationError, match="unknown field"):
             decode_options({"ll": 5})
+        # one OS representation: there is no "flat" option to set
+        with pytest.raises(RequestValidationError, match="unknown field"):
+            decode_options({"source": "complete", "flat": False})
 
     def test_unknown_parallel_field_rejected(self) -> None:
         with pytest.raises(RequestValidationError, match="options.parallel"):
@@ -274,21 +276,6 @@ class TestValidation:
             decode_batch_request(
                 {"dataset": "dblp", "subjects": [["author", 1], ["author"]]}
             )
-
-    def test_source_override_recomputes_flat_from_normalized_defaults(self) -> None:
-        """Regression: a session's normalized prelim defaults carry the
-        canonicalized flat=False; a wire request switching to the complete
-        source must re-enter the columnar hot path (and the snapshot disk
-        tier behind it), not inherit that stale canonicalization."""
-        prelim_defaults = QueryOptions().normalized()  # flat canonicalized off
-        assert prelim_defaults.flat is False
-        decoded = decode_options({"source": "complete"}, defaults=prelim_defaults)
-        assert decoded.flat is True
-        # an explicit flat=false in the request still wins
-        pinned = decode_options(
-            {"source": "complete", "flat": False}, defaults=prelim_defaults
-        )
-        assert pinned.flat is False
 
     def test_defaults_seed_decode(self) -> None:
         defaults = QueryOptions(l=33).normalized()

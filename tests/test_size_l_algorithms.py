@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from repro.core.bottom_up import bottom_up_size_l
 from repro.core.brute_force import brute_force_size_l
 from repro.core.dp import optimal_size_l
-from repro.core.os_tree import ObjectSummary
+from repro.core.os_tree import FlatOS
 from repro.core.top_path import top_path_size_l
 
-from tests.conftest import make_tree
+from tests.conftest import make_tree, numbers
 
 ALL_ALGORITHMS = {
     "dp": optimal_size_l,
@@ -36,7 +36,7 @@ ALL_ALGORITHMS = {
 # Hypothesis tree strategies
 # --------------------------------------------------------------------- #
 @st.composite
-def random_tree(draw, max_nodes: int = 14, monotone: bool = False) -> ObjectSummary:
+def random_tree(draw, max_nodes: int = 14, monotone: bool = False) -> FlatOS:
     """A random rooted tree with float weights.
 
     With ``monotone=True``, every child's weight is <= its parent's —
@@ -61,17 +61,17 @@ def random_tree(draw, max_nodes: int = 14, monotone: bool = False) -> ObjectSumm
     return make_tree(structure, weights)
 
 
-def assert_valid_size_l(tree: ObjectSummary, result, l: int) -> None:  # noqa: E741
+def assert_valid_size_l(tree: FlatOS, result, l: int) -> None:  # noqa: E741
     """Definition 1 invariants for any size-l result."""
-    eligible = sum(1 for node in tree.nodes if node.depth < l)
+    eligible = sum(1 for depth in tree.depth.tolist() if depth < l)
     assert result.size == min(l, eligible)
-    assert tree.root.uid in result.selected_uids
-    for uid in result.selected_uids:
-        node = tree.node(uid)
-        if node.parent is not None:
-            assert node.parent.uid in result.selected_uids, "subtree must be connected"
+    assert 0 in result.selected_uids  # the root
+    for index in result.selected_uids:
+        parent = int(tree.parent[index])
+        if parent >= 0:
+            assert parent in result.selected_uids, "subtree must be connected"
     assert result.importance == pytest.approx(
-        sum(tree.node(uid).weight for uid in result.selected_uids)
+        sum(float(tree.weight[index]) for index in result.selected_uids)
     )
 
 
@@ -81,7 +81,7 @@ def assert_valid_size_l(tree: ObjectSummary, result, l: int) -> None:  # noqa: E
 class TestDPOptimality:
     @settings(max_examples=120, deadline=None)
     @given(random_tree(max_nodes=12), st.integers(min_value=1, max_value=7))
-    def test_dp_matches_brute_force(self, tree: ObjectSummary, l: int) -> None:
+    def test_dp_matches_brute_force(self, tree: FlatOS, l: int) -> None:
         dp = optimal_size_l(tree, l)
         bf = brute_force_size_l(tree, l)
         assert dp.importance == pytest.approx(bf.importance)
@@ -92,7 +92,7 @@ class TestDPOptimality:
         """The paper's Figure 4: the optimal size-4 OS is {1, 4, 5, 6}
         (root + its three best direct children; 30+31+80+35 = 176)."""
         result = optimal_size_l(paper_figure4_tree, 4)
-        assert result.selected_uids == {0, 4, 5, 6}
+        assert numbers(paper_figure4_tree, result.selected_uids) == {0, 4, 5, 6}
         assert result.importance == pytest.approx(176.0)
 
     def test_l_larger_than_tree_returns_everything(self, star_tree) -> None:
@@ -114,7 +114,7 @@ class TestDPOptimality:
         weights = {0: 1.0, 1: 0.1, 2: 0.1, 3: 100.0, 4: 5.0, 5: 4.0}
         tree = make_tree(structure, weights)
         result = optimal_size_l(tree, 4)
-        assert result.selected_uids == {0, 1, 2, 3}
+        assert numbers(tree, result.selected_uids) == {0, 1, 2, 3}
 
     def test_stats_reported(self, paper_figure4_tree) -> None:
         result = optimal_size_l(paper_figure4_tree, 4)
@@ -128,7 +128,7 @@ class TestDPOptimality:
 class TestAlgorithmInvariants:
     @settings(max_examples=80, deadline=None)
     @given(random_tree(max_nodes=20), st.integers(min_value=1, max_value=10))
-    def test_connectivity_size_and_bound(self, tree: ObjectSummary, l: int) -> None:
+    def test_connectivity_size_and_bound(self, tree: FlatOS, l: int) -> None:
         optimum = optimal_size_l(tree, l).importance
         for name, algorithm in ALL_ALGORITHMS.items():
             result = algorithm(tree, l)
@@ -154,7 +154,7 @@ class TestAlgorithmInvariants:
 class TestBottomUp:
     @settings(max_examples=80, deadline=None)
     @given(random_tree(max_nodes=14, monotone=True), st.integers(min_value=1, max_value=8))
-    def test_lemma_2_monotone_optimal(self, tree: ObjectSummary, l: int) -> None:
+    def test_lemma_2_monotone_optimal(self, tree: FlatOS, l: int) -> None:
         bu = bottom_up_size_l(tree, l)
         dp = optimal_size_l(tree, l)
         assert bu.importance == pytest.approx(dp.importance)
@@ -186,7 +186,7 @@ class TestBottomUp:
         weights = {0: 10.0, 1: 0.5, 2: 0.6, 3: 5.0, 4: 4.0}
         tree = make_tree(structure, weights)
         bu3 = bottom_up_size_l(tree, 3)
-        assert bu3.selected_uids == {0, 3, 4}  # leaf 2 (0.6) pruned first
+        assert numbers(tree, bu3.selected_uids) == {0, 3, 4}  # leaf 2 (0.6) pruned first
 
     def test_heap_stats(self, paper_figure4_tree) -> None:
         result = bottom_up_size_l(paper_figure4_tree, 4)
@@ -202,7 +202,7 @@ class TestTopPath:
         weights = {0: 1.0, 1: 0.1, 2: 0.1, 3: 100.0, 4: 5.0, 5: 4.0}
         tree = make_tree(structure, weights)
         result = top_path_size_l(tree, 4)
-        assert result.selected_uids == {0, 1, 2, 3}
+        assert numbers(tree, result.selected_uids) == {0, 1, 2, 3}
 
     def test_partial_path_takes_prefix(self) -> None:
         # Path of 3 needed but only 2 slots: the top of the path is taken
@@ -217,11 +217,11 @@ class TestTopPath:
         """Figure 6: node 5 has the max initial AI (30+80)/2 = 55, so the
         first selected path is {1, 5} (our uids {0, 5})."""
         result = top_path_size_l(paper_figure4_tree, 2)
-        assert result.selected_uids == {0, 5}
+        assert numbers(paper_figure4_tree, result.selected_uids) == {0, 5}
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(random_tree(max_nodes=16), st.integers(min_value=1, max_value=8))
-    def test_variants_close_to_each_other(self, tree: ObjectSummary, l: int) -> None:
+    def test_variants_close_to_each_other(self, tree: FlatOS, l: int) -> None:
         naive = top_path_size_l(tree, l, variant="naive")
         optimized = top_path_size_l(tree, l, variant="optimized")
         # The s(v) shortcut is a heuristic with no per-tree guarantee
