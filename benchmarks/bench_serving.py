@@ -83,13 +83,15 @@ class SimulatedDBMSBackend:
     def db(self):
         return self.inner.db
 
-    def children(self, gds_child, parent):
+    def children(self, gds_child, parent_row, origin_row):
         time.sleep(self.io_latency_s)
-        return self.inner.children(gds_child, parent)
+        return self.inner.children(gds_child, parent_row, origin_row)
 
-    def children_top(self, gds_child, parent, store, threshold, limit):
+    def children_top(self, gds_child, parent_row, origin_row, store, threshold, limit):
         time.sleep(self.io_latency_s)
-        return self.inner.children_top(gds_child, parent, store, threshold, limit)
+        return self.inner.children_top(
+            gds_child, parent_row, origin_row, store, threshold, limit
+        )
 
 
 def _register_dbms_sim(io_latency_s: float) -> None:

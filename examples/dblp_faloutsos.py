@@ -77,7 +77,7 @@ def main() -> None:
             print(
                 f"  {algorithm.value:>20} on {source.value:8}: "
                 f"Im(S) = {result.importance:8.2f}  "
-                f"({result.stats['algorithm_seconds'] * 1000:6.1f} ms)"
+                f"({result.stats.algorithm_seconds * 1000:6.1f} ms)"
             )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro.core import SizeLEngine, Source, word_budget_summary
+from repro.core import QueryOptions, SizeLEngine, Source, word_budget_summary
 from repro.datasets.tpch import TPCHConfig, generate_tpch
 from repro.db.csvio import export_table
 
@@ -54,7 +54,9 @@ def main() -> None:
     # 2. Case-officer summaries.
     print()
     print("Executive summary (size-10):")
-    summary = engine.size_l("customer", subject.row_id, 10, source=Source.PRELIM)
+    summary = engine.size_l(
+        "customer", subject.row_id, options=QueryOptions(l=10, source=Source.PRELIM)
+    )
     print(summary.render())
 
     print()

@@ -32,7 +32,7 @@ def main() -> None:
         print(
             f"--- {result.summary.root.label} match "
             f"(Im(S) = {result.importance:.2f}, "
-            f"complete OS had {result.stats['initial_os_size']} tuples) ---"
+            f"complete OS had {result.stats.initial_os_size} tuples) ---"
         )
         print(result.render())
 

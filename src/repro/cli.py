@@ -130,7 +130,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             f"--- result {rank}: {entry.match.table} "
             f"(Im(t_DS)={entry.match.importance:.2f}, "
             f"Im(S)={entry.result.importance:.2f}, "
-            f"|OS|={entry.result.stats['initial_os_size']}) ---"
+            f"|OS|={entry.result.stats.initial_os_size}) ---"
         )
         print(entry.result.render())
         print()

@@ -50,17 +50,15 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.engine import SizeLEngine
-from repro.core.options import Algorithm, Backend, QueryOptions, ResultStats, Source
+from repro.core.options import Backend, QueryOptions, Source
 from repro.core.os_tree import FlatOS, SizeLResult
-from repro.core.registry import get_algorithm
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.persist.snapshot import Snapshot
@@ -73,15 +71,12 @@ ResultKey = tuple[int, str, str, str, "int | None"]
 SubjectKey = tuple[str, int]
 
 
-@dataclass(frozen=True, eq=False)  # eq: hand-written below (dict-comparable)
+@dataclass(frozen=True)
 class CacheStats:
     """One atomic reading of a :class:`SummaryCache`'s counters.
 
-    Replaces the stringly-typed ``dict[str, int]`` that ``stats()`` used
-    to return — ``/v1/stats`` and the serving benchmarks now read typed
-    attributes.  The mapping dunders keep old ``stats["disk_hits"]`` call
-    sites working (with a :class:`DeprecationWarning`); :meth:`as_dict`
-    is the supported conversion for JSON payloads.
+    ``/v1/stats`` and the serving benchmarks read the typed attributes;
+    :meth:`as_dict` is the conversion for JSON payloads.
     """
 
     hits: int = 0
@@ -115,62 +110,6 @@ class CacheStats:
     def as_dict(self) -> dict[str, int]:
         """The counters as a plain dict (JSON payloads, comparisons)."""
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-
-    # ------------------------------------------------------------------ #
-    # Deprecated mapping compatibility (the pre-typed stats() dict)
-    # ------------------------------------------------------------------ #
-    def _warn_mapping(self, hint: str) -> None:
-        warnings.warn(
-            "treating cache stats as a dict is deprecated; read the typed "
-            f"attributes ({hint}) or use stats.as_dict()",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __getitem__(self, key: str) -> int:
-        self._warn_mapping(f"stats.{key}")
-        try:
-            return self.as_dict()[key]
-        except KeyError:
-            raise KeyError(key) from None
-
-    def get(self, key: str, default: Any = None) -> Any:
-        self._warn_mapping(f"stats.{key}")
-        return self.as_dict().get(key, default)
-
-    def keys(self) -> list[str]:
-        self._warn_mapping("stats.<counter>")
-        return list(self.as_dict())
-
-    def items(self) -> Iterator[tuple[str, int]]:
-        self._warn_mapping("stats.<counter>")
-        return iter(self.as_dict().items())
-
-    def __iter__(self) -> Iterator[str]:
-        self._warn_mapping("stats.<counter>")
-        return iter(self.as_dict())
-
-    def __contains__(self, key: object) -> bool:
-        self._warn_mapping(f"stats.{key}")
-        return key in self.as_dict()
-
-    def __len__(self) -> int:
-        return len(dataclasses.fields(self))
-
-    def __eq__(self, other: object) -> bool:
-        # dict-comparable (silently — equality is not a migration hazard)
-        # so pre-typed assertions like describe()["cache"] ==
-        # cache_stats() keep holding
-        if isinstance(other, CacheStats):
-            return self.as_dict() == other.as_dict()
-        if isinstance(other, dict):
-            return self.as_dict() == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # defining __eq__ would otherwise null __hash__; a frozen value
-        # record should stay usable as a dict key / set member
-        return hash(tuple(self.as_dict().values()))
 
     @classmethod
     def merge(cls, *stats: "CacheStats | dict[str, int]") -> "CacheStats":
@@ -227,20 +166,12 @@ def _per_call(result: SizeLResult) -> SizeLResult:
     timing fields — never reaches the memoised object or earlier callers.
     """
     stats = result.stats
-    if isinstance(stats, ResultStats):
-        stats = dataclasses.replace(
-            stats,
-            cached=True,
-            counters=dict(stats.counters),
-            prelim=(
-                dataclasses.replace(stats.prelim)
-                if dataclasses.is_dataclass(stats.prelim)
-                else stats.prelim
-            ),
-        )
-    else:  # legacy dict-shaped stats from plugin algorithms
-        stats = dict(stats)
-        stats["cached"] = True
+    stats = dataclasses.replace(
+        stats,
+        cached=True,
+        counters=dict(stats.counters),
+        prelim=None if stats.prelim is None else dataclasses.replace(stats.prelim),
+    )
     return dataclasses.replace(result, stats=stats)
 
 
@@ -504,20 +435,6 @@ class SummaryCache:
     # ------------------------------------------------------------------ #
     # Size-l results
     # ------------------------------------------------------------------ #
-    def size_l(
-        self,
-        rds_table: str,
-        row_id: int,
-        l: int,  # noqa: E741
-        algorithm: str | Algorithm = Algorithm.TOP_PATH,
-    ) -> SizeLResult:
-        """Memoised size-l computation on the cached complete OS."""
-        return self.run(
-            rds_table,
-            row_id,
-            QueryOptions(l=l, algorithm=algorithm, source=Source.COMPLETE),
-        )
-
     def run(
         self, rds_table: str, row_id: int, options: QueryOptions
     ) -> SizeLResult:
@@ -534,7 +451,6 @@ class SummaryCache:
         record marked ``cached=True``.
         """
         options = options.normalized()
-        algo_fn = get_algorithm(options.algorithm_name)
         subject = (rds_table, row_id)
         result_key = options.cache_key()
 
@@ -548,7 +464,7 @@ class SummaryCache:
             return result
 
         def compute():
-            result = self._compute(algo_fn, rds_table, row_id, options)
+            result = self._compute(rds_table, row_id, options)
             with self._acquire():
                 self.result_computations += 1
             return result
@@ -567,7 +483,7 @@ class SummaryCache:
         return _per_call(result) if from_cache else result
 
     def _compute(
-        self, algo_fn, rds_table: str, row_id: int, options: QueryOptions
+        self, rds_table: str, row_id: int, options: QueryOptions
     ) -> SizeLResult:
         """One actual generate+summarise pipeline run (outside the lock)."""
         reusable_tree = (
@@ -579,19 +495,7 @@ class SummaryCache:
             return self.engine.run(rds_table, row_id, options)
         gen_start = perf_counter()
         tree = self.complete_os_flat(rds_table, row_id, snapshot=options.snapshot)
-        gen_seconds = perf_counter() - gen_start
-        algo_start = perf_counter()
-        result = algo_fn(tree, options.l)
-        algo_seconds = perf_counter() - algo_start
-        result.stats = ResultStats.from_counters(
-            result.stats,
-            source=options.source_name,
-            backend=options.backend_name,
-            initial_os_size=tree.size,
-            generation_seconds=gen_seconds,
-            algorithm_seconds=algo_seconds,
-        )
-        return result
+        return self.engine.summarise(tree, options, perf_counter() - gen_start)
 
     # ------------------------------------------------------------------ #
     # Management
@@ -670,11 +574,7 @@ class SummaryCache:
             return sum(len(entry.results) for entry in self._book.values())
 
     def stats(self) -> CacheStats:
-        """One consistent :class:`CacheStats` reading of every counter.
-
-        (Returned a plain dict before the service layer; the typed record
-        keeps the old mapping interface behind a DeprecationWarning.)
-        """
+        """One consistent :class:`CacheStats` reading of every counter."""
         # The engine's buffer pool (repro.storage) keeps its own counters;
         # surfacing them here puts them on /v1/stats and /v1/metrics for
         # free (both render whatever as_dict() exposes).

@@ -11,9 +11,8 @@ paper's end-to-end pipeline:
       → three size-15 OSs (Example 5).
 
 Algorithm and backend selection flow through :mod:`repro.core.registry`;
-the typed knobs live in :class:`~repro.core.options.QueryOptions`.  The
-legacy string kwargs (``algorithm="top_path"``...) keep working through a
-deprecation shim.  Construction goes through
+every knob of a query travels in one
+:class:`~repro.core.options.QueryOptions`.  Construction goes through
 :class:`~repro.core.builder.EngineBuilder` / :meth:`SizeLEngine.from_dataset`.
 """
 
@@ -257,26 +256,13 @@ class SizeLEngine:
         row_id: int,
         l: int | None = None,  # noqa: E741
         options: QueryOptions | None = None,
-        *,
-        algorithm: object = None,
-        source: object = None,
-        backend: object = None,
     ) -> SizeLResult:
         """Generate + summarise: the full pipeline for one Data Subject.
 
-        The typed path is ``size_l(table, row, options=QueryOptions(...))``;
-        the legacy string kwargs still work (with a DeprecationWarning).
-        Without an explicit source this summarises the complete OS
-        (Algorithm 5), matching the pre-``QueryOptions`` behaviour.
+        Without *options* this summarises the complete OS (Algorithm 5),
+        matching the pre-``QueryOptions`` behaviour.
         """
-        opts = resolve_options(
-            options,
-            defaults=_SIZE_L_DEFAULTS,
-            l=l,
-            algorithm=algorithm,
-            source=source,
-            backend=backend,
-        )
+        opts = resolve_options(options, defaults=_SIZE_L_DEFAULTS, l=l)
         return self.run(rds_table, row_id, opts)
 
     def run(
@@ -285,7 +271,6 @@ class SizeLEngine:
         """The generate+summarise pipeline under *options*."""
         check_deadline()  # cancel before generation, the expensive half
         options = options.normalized()  # idempotent; catches typo'd sources
-        algo_fn = get_algorithm(options.algorithm_name)
         gen_start = perf_counter()
         prelim_stats: PrelimStats | None = None
         if options.source_name == Source.COMPLETE.value:
@@ -306,18 +291,33 @@ class SizeLEngine:
         gen_seconds = perf_counter() - gen_start
 
         check_deadline()  # and again between generation and selection
-        algo_start = perf_counter()
-        result = algo_fn(os_tree, options.l)
-        algo_seconds = perf_counter() - algo_start
+        return self.summarise(os_tree, options, gen_seconds, prelim_stats)
 
+    def summarise(
+        self,
+        os_tree: FlatOS,
+        options: QueryOptions,
+        generation_seconds: float,
+        prelim: PrelimStats | None = None,
+    ) -> SizeLResult:
+        """Run the registered size-l algorithm on *os_tree* and stamp its
+        :class:`ResultStats`; *options* must be normalized.
+
+        The select half of :meth:`run`, shared with the cache, which hands
+        in a tree it holds or loaded from a snapshot.  The registry is read
+        per call, so a re-registered algorithm takes effect at once.
+        """
+        algo_start = perf_counter()
+        result = get_algorithm(options.algorithm_name)(os_tree, options.l)
+        algo_seconds = perf_counter() - algo_start
         result.stats = ResultStats.from_counters(
             result.stats,
             source=options.source_name,
             backend=options.backend_name,
             initial_os_size=os_tree.size,
-            generation_seconds=gen_seconds,
+            generation_seconds=generation_seconds,
             algorithm_seconds=algo_seconds,
-            prelim=prelim_stats,
+            prelim=prelim,
         )
         return result
 
@@ -330,9 +330,6 @@ class SizeLEngine:
         l: int | None = None,  # noqa: E741
         options: QueryOptions | None = None,
         *,
-        algorithm: object = None,
-        source: object = None,
-        backend: object = None,
         max_results: int | None = None,
     ) -> Iterator[KeywordResult]:
         """Stream a size-l OS keyword query, one result per matching DS.
@@ -344,13 +341,7 @@ class SizeLEngine:
         the t_DS tuple (how the OS paradigm ranks its result list).
         """
         opts = resolve_options(
-            options,
-            defaults=_KEYWORD_DEFAULTS,
-            l=l,
-            algorithm=algorithm,
-            source=source,
-            backend=backend,
-            max_results=max_results,
+            options, defaults=_KEYWORD_DEFAULTS, l=l, max_results=max_results
         )
         return self._iter_keyword_query(keywords, opts)
 
@@ -389,22 +380,12 @@ class SizeLEngine:
         l: int | None = None,  # noqa: E741
         options: QueryOptions | None = None,
         *,
-        algorithm: object = None,
-        source: object = None,
-        backend: object = None,
         max_results: int | None = None,
     ) -> list[KeywordResult]:
         """Run a size-l OS keyword query: one size-l OS per matching DS."""
-        opts = resolve_options(
-            options,
-            defaults=_KEYWORD_DEFAULTS,
-            l=l,
-            algorithm=algorithm,
-            source=source,
-            backend=backend,
-            max_results=max_results,
+        return list(
+            self.iter_keyword_query(keywords, l, options, max_results=max_results)
         )
-        return list(self._iter_keyword_query(keywords, opts))
 
     def describe(self) -> dict[str, Any]:
         """A small status snapshot (used by examples and docs)."""

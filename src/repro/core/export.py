@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from repro.core.options import ResultStats
 from repro.core.os_tree import ObjectSummary, OSNode, SizeLResult
 
 
@@ -53,11 +54,20 @@ def summary_to_dict(summary: ObjectSummary) -> dict[str, Any]:
 def result_to_dict(result: SizeLResult) -> dict[str, Any]:
     """Serialise a :class:`SizeLResult` (summary + metadata).
 
-    Non-JSON-safe stats entries (e.g. the nested ``PrelimStats`` object)
-    are stringified rather than dropped, so nothing silently disappears.
+    An engine result's :class:`ResultStats` flattens to its scalar fields,
+    ``prelim`` (when set) and its counters; a bare algorithm result's
+    counter dict passes through.  Non-JSON-safe entries (e.g. the nested
+    ``PrelimStats`` object) are stringified rather than dropped, so
+    nothing silently disappears.
     """
+    raw = result.stats
+    if isinstance(raw, ResultStats):
+        flat = {key: getattr(raw, key) for key in ResultStats.FIELDS}
+        if raw.prelim is not None:
+            flat["prelim"] = raw.prelim
+        raw = {**flat, **raw.counters}
     stats: dict[str, Any] = {}
-    for key, value in result.stats.items():
+    for key, value in raw.items():
         if isinstance(value, (int, float, str, bool)) or value is None:
             stats[key] = value
         else:

@@ -11,18 +11,16 @@ happen in one place — *before* any expensive OS generation.
 registered via :mod:`repro.core.registry`, so third-party plugins are
 first-class citizens of the typed API.
 
-:class:`ResultStats` replaces the engine's loose ``stats`` dict with a
-typed record while keeping the old mapping interface
-(``stats["initial_os_size"]``, ``.items()``) read/write-compatible.
+:class:`ResultStats` is the typed record of pipeline statistics the
+engine attaches to every result.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, ClassVar
 
 from repro.core.os_tree import validate_l
 from repro.core.registry import ALGORITHM_REGISTRY, BACKEND_REGISTRY
@@ -261,61 +259,13 @@ def resolve_options(
     *,
     defaults: QueryOptions,
     l: int | None = None,  # noqa: E741 - paper notation
-    algorithm: object = None,
-    source: object = None,
-    backend: object = None,
     max_results: int | None = None,
-    stacklevel: int = 3,
 ) -> QueryOptions:
-    """Merge the typed ``options`` path with the legacy kwarg shim.
-
-    ``l`` and ``max_results`` are per-call ergonomics and may accompany an
-    ``options`` object; the old ``algorithm``/``source``/``backend`` kwargs
-    may not (ambiguous).  Passing those legacy kwargs as plain strings
-    emits a :class:`DeprecationWarning` — enum values stay silent.
-    ``stacklevel`` points the warning at the user's call site (callers
-    with an extra frame between them and the user pass a higher value).
-    Returns a normalized :class:`QueryOptions`.
-    """
+    """The normalized options of one call: *options* (else *defaults*),
+    with the per-call ``l`` and ``max_results`` applied on top."""
     if options is not None and not isinstance(options, QueryOptions):
-        # pre-QueryOptions signatures took algorithm as this positional:
-        # size_l(table, row, l, "dp") / keyword_query(kw, l, "dp")
-        if isinstance(options, (str, Algorithm)) and algorithm is None:
-            algorithm, options = options, None
-        else:
-            raise SummaryError(
-                f"options must be a QueryOptions, got {options!r}"
-            )
-    legacy = {
-        key: value
-        for key, value in (
-            ("algorithm", algorithm),
-            ("source", source),
-            ("backend", backend),
-        )
-        if value is not None
-    }
-    if options is not None:
-        if legacy:
-            raise SummaryError(
-                "pass either options=QueryOptions(...) or the legacy "
-                f"{sorted(legacy)} kwargs, not both"
-            )
-        merged = options
-    else:
-        # Algorithm/Source/Backend subclass str, so exclude enums explicitly
-        if any(
-            isinstance(value, str) and not isinstance(value, Enum)
-            for value in legacy.values()
-        ):
-            warnings.warn(
-                "string algorithm=/source=/backend= kwargs are deprecated; "
-                "pass options=QueryOptions(algorithm=Algorithm..., "
-                "source=Source..., backend=Backend...) instead",
-                DeprecationWarning,
-                stacklevel=stacklevel,
-            )
-        merged = defaults.replace(**legacy) if legacy else defaults
+        raise SummaryError(f"options must be a QueryOptions, got {options!r}")
+    merged = options if options is not None else defaults
     changes: dict[str, Any] = {}
     if l is not None:
         changes["l"] = l
@@ -330,11 +280,19 @@ def resolve_options(
 class ResultStats:
     """Typed pipeline statistics the engine attaches to a ``SizeLResult``.
 
-    Replaces the loose ``stats`` dict.  Algorithm-specific counters (heap
-    operations, DP cell updates, ...) live in :attr:`counters`; the mapping
-    dunders keep old call sites (``stats["initial_os_size"]``,
-    ``stats["heap_dequeues"]``, ``.items()``) working unchanged.
+    Algorithm-specific counters (heap operations, DP cell updates, ...)
+    live in :attr:`counters`.
     """
+
+    #: The scalar fields, in wire order (``/v1`` bodies and JSON exports).
+    FIELDS: ClassVar[tuple[str, ...]] = (
+        "source",
+        "backend",
+        "initial_os_size",
+        "generation_seconds",
+        "algorithm_seconds",
+        "cached",
+    )
 
     source: str = ""
     backend: str = ""
@@ -345,63 +303,7 @@ class ResultStats:
     prelim: "PrelimStats | None" = None
     counters: dict[str, Any] = field(default_factory=dict)
 
-    _TYPED = (
-        "source",
-        "backend",
-        "initial_os_size",
-        "generation_seconds",
-        "algorithm_seconds",
-        "cached",
-    )
-
     @classmethod
     def from_counters(cls, counters: Any, **fields: Any) -> "ResultStats":
         """Wrap an algorithm's raw counter dict with the typed fields."""
         return cls(counters=dict(counters), **fields)
-
-    # ------------------------------------------------------------------ #
-    # Mapping compatibility with the legacy stats dict
-    # ------------------------------------------------------------------ #
-    def keys(self) -> list[str]:
-        keys = list(self._TYPED)
-        if self.prelim is not None:
-            keys.append("prelim")
-        keys.extend(self.counters)
-        return keys
-
-    def __getitem__(self, key: str) -> Any:
-        if key in self._TYPED:
-            return getattr(self, key)
-        if key == "prelim":
-            if self.prelim is None:
-                raise KeyError("prelim")
-            return self.prelim
-        return self.counters[key]
-
-    def __setitem__(self, key: str, value: Any) -> None:
-        if key in self._TYPED or key == "prelim":
-            setattr(self, key, value)
-        else:
-            self.counters[key] = value
-
-    def get(self, key: str, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def update(self, other: Any) -> None:
-        for key, value in dict(other).items():
-            self[key] = value
-
-    def items(self) -> Iterator[tuple[str, Any]]:
-        return ((key, self[key]) for key in self.keys())
-
-    def __contains__(self, key: object) -> bool:
-        return key in self.keys()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.keys())
-
-    def __len__(self) -> int:
-        return len(self.keys())

@@ -13,8 +13,9 @@ from :class:`~repro.core.engine.SizeLEngine`,
     def greedy_leaves(flat, l):
         ...  # a FlatOS in -> SizeLResult
 
-    Session.from_dataset(data).keyword_query("Faloutsos", l=10,
-                                             algorithm="greedy_leaves")
+    Session.from_dataset(data).keyword_query(
+        "Faloutsos", options=QueryOptions(l=10, algorithm="greedy_leaves")
+    )
 
 Algorithm entries are callables ``(flat, l) -> SizeLResult`` over a
 columnar :class:`~repro.core.os_tree.FlatOS` (``flat.to_object_summary()``

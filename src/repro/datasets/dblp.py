@@ -498,8 +498,3 @@ def small_dblp(seed: int = 7) -> DBLPDataset:
             seed=seed,
         )
     )
-
-
-def bench_dblp(seed: int = 7) -> DBLPDataset:
-    """The benchmark-scale DBLP used by the Figure 8-10 drivers."""
-    return generate_dblp(DBLPConfig(seed=seed))

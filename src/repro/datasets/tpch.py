@@ -556,8 +556,3 @@ def generate_tpch(config: TPCHConfig | None = None) -> TPCHDataset:
 def small_tpch(seed: int = 11) -> TPCHDataset:
     """A test-scale TPC-H (hundreds of tuples)."""
     return generate_tpch(TPCHConfig(scale_factor=0.0006, seed=seed))
-
-
-def bench_tpch(seed: int = 11) -> TPCHDataset:
-    """The benchmark-scale TPC-H used by the Figure 8-10 drivers."""
-    return generate_tpch(TPCHConfig(scale_factor=0.004, seed=seed))

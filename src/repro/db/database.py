@@ -86,9 +86,6 @@ class Database:
                 pairs.append((table.name, fk))
         return pairs
 
-    def foreign_keys_of(self, table_name: str) -> list[ForeignKey]:
-        return list(self.table(table_name).schema.foreign_keys)
-
     def foreign_keys_into(self, table_name: str) -> list[tuple[str, ForeignKey]]:
         """All (owning_table, fk) pairs whose FK references *table_name*."""
         self.table(table_name)  # raise on unknown table

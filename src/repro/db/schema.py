@@ -75,9 +75,6 @@ class TableSchema:
         except KeyError:
             raise UnknownColumnError(self.name, column) from None
 
-    def has_column(self, column: str) -> bool:
-        return column in self._index_of
-
     def column(self, name: str) -> Column:
         return self.columns[self.column_index(name)]
 

@@ -194,11 +194,6 @@ class Table:
         """Number of live (non-tombstoned) rows."""
         return len(self._rows) - self._deleted
 
-    @property
-    def mutation_count(self) -> int:
-        """Monotone counter bumped by every insert/update/delete."""
-        return self._mutations
-
     def is_deleted(self, row_id: int) -> bool:
         return 0 <= row_id < len(self._rows) and self._rows[row_id] is None
 

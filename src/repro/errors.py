@@ -42,10 +42,6 @@ class TypeMismatchError(IntegrityError):
     """Raised when a value does not match its column's declared type."""
 
 
-class QueryError(ReproError):
-    """Raised for malformed queries against the relational engine."""
-
-
 class GraphError(ReproError):
     """Raised for invalid schema-graph or G_DS operations."""
 

@@ -324,17 +324,6 @@ class Snapshot:
                     )
         return cls(path, manifest)
 
-    def reopen(self, *, verify: bool = True) -> "Snapshot":
-        """A fresh :class:`Snapshot` re-read from this snapshot's directory.
-
-        The hot-reload primitive (see
-        :meth:`repro.service.Deployment.reload`): after an offline
-        ``repro precompute --overwrite`` replaced the directory, reopening
-        picks up the new manifest and arenas while this object keeps
-        serving the old mmaps until the swap completes.
-        """
-        return type(self).open(self.path, verify=verify)
-
     def validate_dataset(
         self, db: "Database", pruned_gds_by_root: dict[str, "GDS"], theta: float
     ) -> None:

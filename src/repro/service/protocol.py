@@ -38,9 +38,11 @@ PROTOCOL_VERSION = 1
 #: Hard caps on wire-controlled resource knobs.  In-process callers can
 #: configure whatever their process tolerates; a *request* must not be
 #: able to inflate the serving Session's thread pool (the pool grows to
-#: the largest workers= ever seen and never shrinks) or fan out an
-#: unbounded batch.
+#: the largest workers= ever seen and never shrinks), fan out an
+#: unbounded batch, or size a DP table (O(|OS| * l) cells) to exhaust a
+#: worker's memory.
 MAX_WIRE_WORKERS = 64
+MAX_WIRE_L = 1_000
 MAX_BATCH_SUBJECTS = 10_000
 MAX_MUTATE_OPERATIONS = 1_000
 #: Longest server-side long-poll hold on ``/v1/watch/poll``; clients that
@@ -126,6 +128,11 @@ def decode_options(payload: object, *, defaults: QueryOptions | None = None) -> 
     changes: dict[str, Any] = {
         key: payload[key] for key in _OPTION_FIELDS[:-1] if key in payload
     }
+    size = payload.get("l")
+    if isinstance(size, int) and size > MAX_WIRE_L:
+        raise RequestValidationError(
+            f"options.l {size} exceeds the wire limit of {MAX_WIRE_L}"
+        )
     if "parallel" in payload and payload["parallel"] is not None:
         parallel = _require_mapping(payload["parallel"], "options.parallel")
         _reject_unknown(parallel, ("workers", "ordered"), "options.parallel")
@@ -587,23 +594,15 @@ def encode_request(request: QueryRequest | SizeLRequest | BatchRequest) -> dict[
 # --------------------------------------------------------------------- #
 # Responses
 # --------------------------------------------------------------------- #
-def _encode_stats(stats: object) -> dict[str, Any]:
-    """A result's :class:`ResultStats` (or legacy dict) as JSON types."""
-    if isinstance(stats, ResultStats):
-        encoded: dict[str, Any] = {
-            key: getattr(stats, key) for key in ResultStats._TYPED
-        }
-        encoded["counters"] = {
-            key: value
-            for key, value in stats.counters.items()
-            if isinstance(value, (int, float, str, bool))
-        }
-        return encoded
-    return {
+def _encode_stats(stats: ResultStats) -> dict[str, Any]:
+    """A result's :class:`ResultStats` as JSON types."""
+    encoded: dict[str, Any] = {key: getattr(stats, key) for key in ResultStats.FIELDS}
+    encoded["counters"] = {
         key: value
-        for key, value in dict(stats).items()
+        for key, value in stats.counters.items()
         if isinstance(value, (int, float, str, bool))
     }
+    return encoded
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,8 @@ class Session:
 
     ``defaults`` seeds every query's :class:`QueryOptions` (the stock
     defaults follow the paper's end-to-end pipeline: Top-Path over a
-    prelim-l OS); per-call options/kwargs override it.  ``parallel`` seeds
+    prelim-l OS); a per-call ``options`` replaces it, and per-call ``l=`` /
+    ``max_results=`` override either.  ``parallel`` seeds
     the fan-out policy the same way: per-call ``workers=`` / ``ordered=``
     override ``options.parallel``, which overrides the Session default.
     """
@@ -145,29 +146,6 @@ class Session:
         )
 
     # ------------------------------------------------------------------ #
-    # Options
-    # ------------------------------------------------------------------ #
-    def _options(
-        self,
-        l: int | None,  # noqa: E741
-        options: QueryOptions | None,
-        algorithm: object = None,
-        source: object = None,
-        backend: object = None,
-        max_results: int | None = None,
-    ) -> QueryOptions:
-        return resolve_options(
-            options,
-            defaults=self.defaults,
-            l=l,
-            algorithm=algorithm,
-            source=source,
-            backend=backend,
-            max_results=max_results,
-            stacklevel=4,  # user -> Session method -> _options -> resolve
-        )
-
-    # ------------------------------------------------------------------ #
     # Size-l computation (cached)
     # ------------------------------------------------------------------ #
     def size_l(
@@ -176,13 +154,9 @@ class Session:
         row_id: int,
         l: int | None = None,  # noqa: E741
         options: QueryOptions | None = None,
-        *,
-        algorithm: object = None,
-        source: object = None,
-        backend: object = None,
     ) -> SizeLResult:
         """The cached generate+summarise pipeline for one Data Subject."""
-        opts = self._options(l, options, algorithm, source, backend)
+        opts = resolve_options(options, defaults=self.defaults, l=l)
         return self.cache.run(rds_table, row_id, opts)
 
     def size_l_many(
@@ -191,9 +165,6 @@ class Session:
         l: int | None = None,  # noqa: E741
         options: QueryOptions | None = None,
         *,
-        algorithm: object = None,
-        source: object = None,
-        backend: object = None,
         workers: int | None = None,
     ) -> list[SizeLResult]:
         """Batched :meth:`size_l` over ``(rds_table, row_id)`` subjects.
@@ -202,7 +173,7 @@ class Session:
         (duplicates coalesce on the cache's single-flight table); the
         returned list always follows the input order.
         """
-        opts = self._options(l, options, algorithm, source, backend)
+        opts = resolve_options(options, defaults=self.defaults, l=l)
         subject_list = list(subjects)
         config = self._parallel_config(opts, workers, None)
         if config.workers == 1 or len(subject_list) <= 1:
@@ -351,9 +322,6 @@ class Session:
         l: int | None = None,  # noqa: E741
         options: QueryOptions | None = None,
         *,
-        algorithm: object = None,
-        source: object = None,
-        backend: object = None,
         max_results: int | None = None,
         workers: int | None = None,
         ordered: bool | None = None,
@@ -366,7 +334,9 @@ class Session:
         match ranking, ``ordered=False`` yields each result the moment it
         completes.  Serial execution (``workers=1``) computes nothing
         until the stream is consumed."""
-        opts = self._options(l, options, algorithm, source, backend, max_results)
+        opts = resolve_options(
+            options, defaults=self.defaults, l=l, max_results=max_results
+        )
         config = self._parallel_config(opts, workers, ordered)
         if config.workers == 1:
             return self._iter_keyword_query(keywords, opts)
@@ -431,21 +401,21 @@ class Session:
         l: int | None = None,  # noqa: E741
         options: QueryOptions | None = None,
         *,
-        algorithm: object = None,
-        source: object = None,
-        backend: object = None,
         max_results: int | None = None,
         workers: int | None = None,
         ordered: bool | None = None,
     ) -> list[KeywordResult]:
         """The batch form of :meth:`iter_keyword_query`."""
-        # resolved here (not via iter_keyword_query) so the legacy-kwarg
-        # DeprecationWarning's stacklevel still lands on the caller's frame
-        opts = self._options(l, options, algorithm, source, backend, max_results)
-        config = self._parallel_config(opts, workers, ordered)
-        if config.workers == 1:
-            return list(self._iter_keyword_query(keywords, opts))
-        return list(self._iter_keyword_query_parallel(keywords, opts, config))
+        return list(
+            self.iter_keyword_query(
+                keywords,
+                l,
+                options,
+                max_results=max_results,
+                workers=workers,
+                ordered=ordered,
+            )
+        )
 
     # ------------------------------------------------------------------ #
     # Live mutation state

@@ -118,10 +118,6 @@ class BufferPool:
     def resident_bytes(self) -> int:
         return self._resident_bytes
 
-    @property
-    def resident_pages(self) -> int:
-        return len(self._pages)
-
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0

@@ -39,7 +39,7 @@ from repro.service import Deployment, MiddlewareConfig, create_server
 from repro.service.dispatch import ServiceDispatcher
 from repro.service.http import MAX_BODY_BYTES
 from repro.service.middleware import REQUEST_ID_HEADER
-from repro.service.protocol import Cursor
+from repro.service.protocol import MAX_WIRE_L, Cursor
 
 SEED, SCALE = 7, 0.5
 KEYWORDS = ["Faloutsos"]
@@ -250,6 +250,18 @@ class TestPinnedBodies:
         error = json.loads(replies[0][2])["error"]
         assert error["type"] == "RequestValidationError"
         assert "unknown field" in error["message"] and "flat" in error["message"]
+        # an l above the wire cap, on the endpoint that runs DP unbounded
+        payload = {
+            "dataset": "dblp",
+            "table": "author",
+            "row_id": 0,
+            "options": {"l": MAX_WIRE_L + 1, "algorithm": "dp", "source": "complete"},
+        }
+        replies = both(single_http, cluster_http, "/v1/size-l", payload)
+        assert_identical(*replies, 400)
+        error = json.loads(replies[0][2])["error"]
+        assert error["type"] == "RequestValidationError"
+        assert "wire limit" in error["message"]
 
     def test_400_stale_cursor(self, single_http, cluster_http) -> None:
         payload = {

@@ -14,11 +14,18 @@ Includes the regression tests for the cache-correctness sweep:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.cache import SummaryCache
 from repro.core.options import QueryOptions, Source
 from repro.errors import SummaryError
+
+
+def complete(l: int, **changes) -> QueryOptions:  # noqa: E741 - paper notation
+    """Options for a size-l summary of the (cacheable) complete OS."""
+    return QueryOptions(l=l, source=Source.COMPLETE, **changes)
 
 
 class TestCompleteOSCache:
@@ -28,10 +35,10 @@ class TestCompleteOSCache:
         second = cache.complete_os_flat("author", 1)
         assert first is second
         stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["cached_subjects"] == 1
-        assert stats["tree_generations"] == 1
+        assert stats.hits == 1
+        assert stats.misses == 1
+        assert stats.cached_subjects == 1
+        assert stats.tree_generations == 1
 
     def test_lru_eviction(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine, max_subjects=2)
@@ -39,7 +46,7 @@ class TestCompleteOSCache:
         cache.complete_os_flat("author", 2)
         cache.complete_os_flat("author", 3)  # evicts subject 1
         assert cache.cached_subjects == 2
-        assert cache.stats()["evictions"] == 1
+        assert cache.stats().evictions == 1
         again = cache.complete_os_flat("author", 1)
         assert again is not a  # regenerated after eviction
 
@@ -59,55 +66,61 @@ class TestCompleteOSCache:
 class TestSizeLMemo:
     def test_memoised_result_equivalent_not_shared(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine)
-        first = cache.size_l("author", 1, 10)
-        second = cache.size_l("author", 1, 10)
+        first = cache.run("author", 1, complete(10))
+        second = cache.run("author", 1, complete(10))
         # hits are per-call copies: same payload, fresh stats record
         assert second is not first
         assert second.summary is first.summary
         assert second.selected_uids == first.selected_uids
         assert second.importance == first.importance
-        assert cache.stats()["result_computations"] == 1
+        assert cache.stats().result_computations == 1
 
     def test_hit_does_not_mutate_the_miss_result(self, dblp_engine) -> None:
         # The old cache set ``cached = True`` on the *shared* memo object,
         # retroactively flipping the first caller's miss-result.
         cache = SummaryCache(dblp_engine)
-        first = cache.size_l("author", 1, 10)
-        assert first.stats["cached"] is False
-        second = cache.size_l("author", 1, 10)
-        assert second.stats["cached"] is True
-        assert first.stats["cached"] is False  # the original must not flip
-        third = cache.size_l("author", 1, 10)
-        assert third.stats["cached"] is True
+        first = cache.run("author", 1, complete(10))
+        assert first.stats.cached is False
+        second = cache.run("author", 1, complete(10))
+        assert second.stats.cached is True
+        assert first.stats.cached is False  # the original must not flip
+        third = cache.run("author", 1, complete(10))
+        assert third.stats.cached is True
         assert third is not second
 
     def test_results_match_engine(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine)
-        cached = cache.size_l("author", 1, 10, algorithm="dp")
-        direct = dblp_engine.size_l("author", 1, 10, algorithm="dp")
+        cached = cache.run("author", 1, complete(10, algorithm="dp"))
+        direct = dblp_engine.run("author", 1, complete(10, algorithm="dp"))
         assert cached.selected_uids == direct.selected_uids
         assert cached.importance == pytest.approx(direct.importance)
+        # the cached-tree path stamps the same record as engine.run, bar
+        # the timings and the cached flag
+        untimed = dict(generation_seconds=0.0, algorithm_seconds=0.0, cached=False)
+        assert dataclasses.replace(cached.stats, **untimed) == dataclasses.replace(
+            direct.stats, **untimed
+        )
 
     def test_distinct_l_and_algorithms_cached_separately(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine)
-        a = cache.size_l("author", 1, 5)
-        b = cache.size_l("author", 1, 10)
-        c = cache.size_l("author", 1, 5, algorithm="bottom_up")
+        a = cache.run("author", 1, complete(5))
+        b = cache.run("author", 1, complete(10))
+        c = cache.run("author", 1, complete(5, algorithm="bottom_up"))
         assert a is not b and a is not c
         assert cache.cached_results == 3
 
     def test_unknown_algorithm(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine)
         with pytest.raises(SummaryError):
-            cache.size_l("author", 1, 5, algorithm="magic")
+            cache.run("author", 1, complete(5, algorithm="magic"))
 
     def test_eviction_drops_memoised_results(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine, max_subjects=1)
-        first = cache.size_l("author", 1, 5)
-        cache.size_l("author", 2, 5)  # evicts subject 1 with its results
-        again = cache.size_l("author", 1, 5)
+        first = cache.run("author", 1, complete(5))
+        cache.run("author", 2, complete(5))  # evicts subject 1 with its results
+        again = cache.run("author", 1, complete(5))
         assert again is not first
-        assert again.stats["cached"] is False  # recomputed, not served
+        assert again.stats.cached is False  # recomputed, not served
 
 
 class TestAtomicEviction:
@@ -121,32 +134,32 @@ class TestAtomicEviction:
 
     def test_memo_survives_while_tree_keeps_subject_fresh(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine, max_subjects=2)
-        cache.size_l("author", 1, 5)  # subject 1: tree + memo
-        cache.size_l("author", 2, 5)  # subject 2: tree + memo
+        cache.run("author", 1, complete(5))  # subject 1: tree + memo
+        cache.run("author", 2, complete(5))  # subject 2: tree + memo
         cache.complete_os_flat("author", 1)  # touch subject 1 via its *tree*
-        cache.size_l("author", 3, 5)  # evicts subject 2, not 1
+        cache.run("author", 3, complete(5))  # evicts subject 2, not 1
         # subject 1's memo must still be served from cache
-        again = cache.size_l("author", 1, 5)
-        assert again.stats["cached"] is True
-        assert cache.stats()["result_computations"] == 3  # subjects 1, 2, 3
+        again = cache.run("author", 1, complete(5))
+        assert again.stats.cached is True
+        assert cache.stats().result_computations == 3  # subjects 1, 2, 3
 
     def test_no_subject_outlives_eviction_partially(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine, max_subjects=1)
-        cache.size_l("author", 1, 5)
+        cache.run("author", 1, complete(5))
         cache.complete_os_flat("author", 1)
-        cache.size_l("author", 2, 5)  # evicts subject 1 entirely
+        cache.run("author", 2, complete(5))  # evicts subject 1 entirely
         assert cache.cached_subjects == 1
         assert cache.cached_results == 1  # only subject 2's memo
         # regenerating subject 1 misses on both the tree and the memo
         before = cache.stats()
-        cache.size_l("author", 1, 5)
+        cache.run("author", 1, complete(5))
         after = cache.stats()
-        assert after["result_computations"] == before["result_computations"] + 1
+        assert after.result_computations == before.result_computations + 1
 
     def test_book_never_exceeds_capacity(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine, max_subjects=3)
         for row_id in range(8):
-            cache.size_l("author", row_id, 4)
+            cache.run("author", row_id, complete(4))
             assert cache.cached_subjects <= 3
 
 
@@ -191,15 +204,15 @@ class TestCountingBugfix:
         cache.run("author", 1, QueryOptions(l=5, source=Source.PRELIM))
         assert cache.cached_subjects == 1
         assert cache.cached_results == 1
-        assert cache.stats()["cached_subjects"] == 1
+        assert cache.stats().cached_subjects == 1
 
     def test_cached_results_tracks_memos_not_trees(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine)
         cache.complete_os_flat("author", 1)  # tree only, no memo
         assert cache.cached_subjects == 1
         assert cache.cached_results == 0
-        cache.size_l("author", 1, 5)
-        cache.size_l("author", 1, 7)
+        cache.run("author", 1, complete(5))
+        cache.run("author", 1, complete(7))
         assert cache.cached_results == 2
 
 
@@ -254,7 +267,4 @@ class TestCacheStatsMerge:
 
         a = CacheStats(hits=5, single_flight_waits=2, snapshot_stale=1)
         b = CacheStats(misses=3, lock_contention=4)
-        assert (
-            CacheStats.merge(a.as_dict(), b.as_dict())
-            == CacheStats.merge(a, b).as_dict()
-        )
+        assert CacheStats.merge(a.as_dict(), b.as_dict()) == CacheStats.merge(a, b)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import SizeLEngine
+from repro.core.options import QueryOptions
 from repro.datasets.dblp import small_dblp
 from repro.ranking.objectrank import compute_objectrank
 
@@ -62,8 +63,9 @@ class TestDeterminism:
     @pytest.mark.parametrize("algorithm", ["dp", "bottom_up", "top_path"])
     def test_size_l_selection_identical(self, twin_engines, algorithm) -> None:
         a, b = twin_engines
-        ra = a.size_l("author", 0, 12, algorithm=algorithm)
-        rb = b.size_l("author", 0, 12, algorithm=algorithm)
+        options = QueryOptions(l=12, algorithm=algorithm, source="complete")
+        ra = a.size_l("author", 0, options=options)
+        rb = b.size_l("author", 0, options=options)
         assert ra.selected_uids == rb.selected_uids
         assert ra.importance == pytest.approx(rb.importance)
 
@@ -77,6 +79,7 @@ class TestDeterminism:
 
     def test_same_engine_repeat_is_stable(self, twin_engines) -> None:
         engine = twin_engines[0]
-        first = engine.size_l("author", 1, 9, algorithm="top_path")
-        second = engine.size_l("author", 1, 9, algorithm="top_path")
+        options = QueryOptions(l=9, algorithm="top_path", source="complete")
+        first = engine.size_l("author", 1, options=options)
+        second = engine.size_l("author", 1, options=options)
         assert first.selected_uids == second.selected_uids

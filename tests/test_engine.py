@@ -4,34 +4,43 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.options import QueryOptions
 from repro.errors import SummaryError
+
+
+def complete(l: int, **changes) -> QueryOptions:  # noqa: E741 - paper notation
+    return QueryOptions(l=l, source="complete", **changes)
+
+
+def prelim(l: int, **changes) -> QueryOptions:  # noqa: E741 - paper notation
+    return QueryOptions(l=l, source="prelim", **changes)
 
 
 class TestSizeL:
     def test_pipeline_stats(self, dblp_engine) -> None:
-        result = dblp_engine.size_l("author", 0, 10, algorithm="top_path")
+        result = dblp_engine.size_l("author", 0, options=complete(10, algorithm="top_path"))
         assert result.size == 10
-        assert result.stats["source"] == "complete"
-        assert result.stats["initial_os_size"] > 10
-        assert result.stats["generation_seconds"] >= 0
-        assert result.stats["algorithm_seconds"] >= 0
+        assert result.stats.source == "complete"
+        assert result.stats.initial_os_size > 10
+        assert result.stats.generation_seconds >= 0
+        assert result.stats.algorithm_seconds >= 0
 
     def test_prelim_source_records_prelim_stats(self, dblp_engine) -> None:
-        result = dblp_engine.size_l("author", 0, 10, source="prelim")
-        assert result.stats["prelim"].extracted_tuples >= 10
+        result = dblp_engine.size_l("author", 0, options=prelim(10))
+        assert result.stats.prelim.extracted_tuples >= 10
 
     def test_prelim_and_complete_agree_closely(self, dblp_engine) -> None:
-        optimum = dblp_engine.size_l("author", 0, 10, algorithm="dp").importance
+        optimum = dblp_engine.size_l("author", 0, options=complete(10, algorithm="dp")).importance
         # DP is monotone under input containment: prelim ⊆ complete ⇒ the
         # prelim optimum cannot exceed the true optimum.
-        dp_prelim = dblp_engine.size_l("author", 0, 10, algorithm="dp", source="prelim")
+        dp_prelim = dblp_engine.size_l("author", 0, options=prelim(10, algorithm="dp"))
         assert dp_prelim.importance <= optimum + 1e-9
         assert dp_prelim.importance >= 0.9 * optimum
         # Greedy heuristics are NOT monotone (pruning distractors can help),
         # so only bound them against the optimum from both sides.
         for algorithm in ("bottom_up", "top_path"):
-            full = dblp_engine.size_l("author", 0, 10, algorithm=algorithm)
-            pre = dblp_engine.size_l("author", 0, 10, algorithm=algorithm, source="prelim")
+            full = dblp_engine.size_l("author", 0, options=complete(10, algorithm=algorithm))
+            pre = dblp_engine.size_l("author", 0, options=prelim(10, algorithm=algorithm))
             assert pre.importance <= optimum + 1e-9
             assert full.importance <= optimum + 1e-9
             assert pre.importance >= 0.85 * optimum
@@ -39,20 +48,20 @@ class TestSizeL:
 
     def test_unknown_algorithm_rejected(self, dblp_engine) -> None:
         with pytest.raises(SummaryError, match="unknown algorithm"):
-            dblp_engine.size_l("author", 0, 5, algorithm="magic")
+            dblp_engine.size_l("author", 0, options=complete(5, algorithm="magic"))
 
     def test_unknown_source_rejected(self, dblp_engine) -> None:
         with pytest.raises(SummaryError, match="unknown source"):
-            dblp_engine.size_l("author", 0, 5, source="cache")
+            dblp_engine.size_l("author", 0, options=QueryOptions(l=5, source="cache"))
 
     def test_unknown_rds_rejected(self, dblp_engine) -> None:
         with pytest.raises(SummaryError, match="no G_DS"):
             dblp_engine.size_l("conference", 0, 5)
 
     def test_dp_beats_or_matches_greedy(self, dblp_engine) -> None:
-        dp = dblp_engine.size_l("author", 0, 15, algorithm="dp")
+        dp = dblp_engine.size_l("author", 0, options=complete(15, algorithm="dp"))
         for algorithm in ("bottom_up", "top_path", "top_path_optimized"):
-            greedy = dblp_engine.size_l("author", 0, 15, algorithm=algorithm)
+            greedy = dblp_engine.size_l("author", 0, options=complete(15, algorithm=algorithm))
             assert greedy.importance <= dp.importance + 1e-9
 
 

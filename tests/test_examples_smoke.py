@@ -11,8 +11,6 @@ import runpy
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -28,7 +26,6 @@ def _run_example(name: str, capsys) -> str:
     return capsys.readouterr().out
 
 
-@pytest.mark.slow
 def test_quickstart(capsys) -> None:
     out = _run_example("quickstart.py", capsys)
     assert "Author: Christos Faloutsos" in out
@@ -42,7 +39,6 @@ def test_custom_database(capsys) -> None:
     assert "Computed Student G_DS" in out
 
 
-@pytest.mark.slow
 def test_algorithm_comparison(capsys) -> None:
     out = _run_example("algorithm_comparison.py", capsys)
     assert "optimal (DP)" in out

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.core.export import result_to_dict, result_to_json, summary_to_dict
+from repro.core.options import QueryOptions
 
 
 class TestSummaryExport:
@@ -32,7 +33,9 @@ class TestSummaryExport:
 
 class TestResultExport:
     def test_round_trips_through_json(self, dblp_engine) -> None:
-        result = dblp_engine.size_l("author", 0, 8, source="prelim")
+        result = dblp_engine.size_l(
+            "author", 0, options=QueryOptions(l=8, source="prelim")
+        )
         text = result_to_json(result)
         decoded = json.loads(text)
         assert decoded["l"] == 8
@@ -41,10 +44,18 @@ class TestResultExport:
         assert decoded["summary"]["size"] == 8
 
     def test_non_json_stats_stringified(self, dblp_engine) -> None:
-        result = dblp_engine.size_l("author", 0, 5, source="prelim")
+        result = dblp_engine.size_l(
+            "author", 0, options=QueryOptions(l=5, source="prelim")
+        )
         payload = result_to_dict(result)
         assert isinstance(payload["stats"]["prelim"], str)  # PrelimStats repr
         assert payload["stats"]["source"] == "prelim"
+        # one flat key set: the typed fields, prelim, then the counters
+        assert set(payload["stats"]) == {
+            "source", "backend", "initial_os_size", "generation_seconds",
+            "algorithm_seconds", "cached", "prelim",
+            "paths_selected", "nodes_rescanned",
+        }
 
     def test_importance_matches(self, dblp_engine) -> None:
         result = dblp_engine.size_l("author", 1, 6)

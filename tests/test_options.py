@@ -1,5 +1,5 @@
-"""Tests for the typed options layer: QueryOptions validation, the
-resolve_options deprecation shim, and ResultStats mapping compatibility."""
+"""Tests for the typed options layer: QueryOptions validation,
+resolve_options, and the ResultStats record."""
 
 from __future__ import annotations
 
@@ -89,29 +89,10 @@ class TestQueryOptionsValidation:
 class TestResolveOptionsShim:
     DEFAULTS = QueryOptions()
 
-    def test_string_kwargs_warn_and_map_to_enums(self) -> None:
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            opts = resolve_options(
-                None, defaults=self.DEFAULTS, algorithm="dp", source="complete"
-            )
-        assert opts.algorithm is Algorithm.DP
-        assert opts.source is Source.COMPLETE
-
-    def test_enum_kwargs_stay_silent(self) -> None:
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            opts = resolve_options(
-                None, defaults=self.DEFAULTS, algorithm=Algorithm.BOTTOM_UP
-            )
-        assert opts.algorithm is Algorithm.BOTTOM_UP
-
     def test_options_plus_legacy_kwargs_rejected(self) -> None:
-        with pytest.raises(SummaryError, match="not both"):
-            resolve_options(
-                QueryOptions(), defaults=self.DEFAULTS, algorithm="dp"
-            )
+        for legacy in ({"algorithm": "dp"}, {"source": "complete"}, {"backend": "database"}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                resolve_options(QueryOptions(), defaults=self.DEFAULTS, **legacy)
 
     def test_l_and_max_results_accompany_options(self) -> None:
         opts = resolve_options(
@@ -129,44 +110,6 @@ class TestResolveOptionsShim:
 
 
 class TestResultStatsMapping:
-    def make(self) -> ResultStats:
-        stats = ResultStats(
-            source="complete",
-            backend="datagraph",
-            initial_os_size=42,
-        )
-        stats["heap_dequeues"] = 7
-        return stats
-
-    def test_typed_fields_via_getitem(self) -> None:
-        stats = self.make()
-        assert stats["initial_os_size"] == 42
-        assert stats["source"] == "complete"
-        assert stats["heap_dequeues"] == 7
-
-    def test_counters_and_contains(self) -> None:
-        stats = self.make()
-        assert "heap_dequeues" in stats
-        assert "prelim" not in stats
-        assert stats.get("missing", "x") == "x"
-
-    def test_items_round_trip(self) -> None:
-        stats = self.make()
-        as_dict = dict(stats.items())
-        assert as_dict["backend"] == "datagraph"
-        assert as_dict["heap_dequeues"] == 7
-
-    def test_setitem_and_update(self) -> None:
-        stats = self.make()
-        stats["cached"] = True
-        stats.update({"dp_cells": 99})
-        assert stats.cached is True
-        assert stats.counters["dp_cells"] == 99
-
-    def test_len_and_iter(self) -> None:
-        stats = self.make()
-        assert len(stats) == len(list(stats))
-
     def test_from_counters(self) -> None:
         stats = ResultStats.from_counters({"a": 1}, source="prelim")
         assert stats.counters == {"a": 1}

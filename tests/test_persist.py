@@ -252,9 +252,9 @@ class TestSnapshotFormat:
         )
         cache.complete_os_flat("author", 0)
         stats = cache.stats()
-        assert stats["disk_hits"] == 0
-        assert stats["disk_misses"] == 1
-        assert stats["tree_generations"] == 1
+        assert stats.disk_hits == 0
+        assert stats.disk_misses == 1
+        assert stats.tree_generations == 1
 
 
 # --------------------------------------------------------------------- #
@@ -494,8 +494,8 @@ class TestDiskTierServing:
         cache = SummaryCache(dblp_engine, snapshot=dblp_snapshot)
         result = cache.run("author", 2, COMPLETE.normalized())
         stats = cache.stats()
-        assert stats["disk_hits"] == 1
-        assert stats["tree_generations"] == 0
+        assert stats.disk_hits == 1
+        assert stats.tree_generations == 0
         fresh = dblp_engine.run("author", 2, COMPLETE.normalized())
         assert result.selected_uids == fresh.selected_uids
         assert result.importance == pytest.approx(fresh.importance)
@@ -507,8 +507,8 @@ class TestDiskTierServing:
         options = COMPLETE.replace(snapshot=False).normalized()
         cache.run("author", 2, options)
         stats = cache.stats()
-        assert stats["disk_hits"] == 0
-        assert stats["tree_generations"] == 1
+        assert stats.disk_hits == 0
+        assert stats.tree_generations == 1
 
     def test_absent_subject_counts_disk_miss(
         self, dblp_engine, dblp_snapshot
@@ -516,23 +516,23 @@ class TestDiskTierServing:
         cache = SummaryCache(dblp_engine, snapshot=dblp_snapshot)
         cache.complete_os_flat("paper", 0)  # only authors were snapshotted
         stats = cache.stats()
-        assert stats["disk_misses"] == 1
-        assert stats["tree_generations"] == 1
+        assert stats.disk_misses == 1
+        assert stats.tree_generations == 1
 
     def test_invalidate_masks_disk_entry(
         self, dblp_engine, dblp_snapshot
     ) -> None:
         cache = SummaryCache(dblp_engine, snapshot=dblp_snapshot)
         cache.complete_os_flat("author", 1)
-        assert cache.stats()["disk_hits"] == 1
+        assert cache.stats().disk_hits == 1
         cache.invalidate("author", 1)
         cache.complete_os_flat("author", 1)
         stats = cache.stats()
-        assert stats["snapshot_stale"] == 1
-        assert stats["tree_generations"] == 1  # regenerated, not re-served
+        assert stats.snapshot_stale == 1
+        assert stats.tree_generations == 1  # regenerated, not re-served
         # unaffected subjects still serve from disk
         cache.complete_os_flat("author", 2)
-        assert cache.stats()["disk_hits"] == 2
+        assert cache.stats().disk_hits == 2
 
     def test_bare_invalidate_masks_whole_disk_tier_until_reattach(
         self, dblp_engine, dblp_snapshot
@@ -542,17 +542,17 @@ class TestDiskTierServing:
         (which re-validates) is the way to re-enable it."""
         cache = SummaryCache(dblp_engine, snapshot=dblp_snapshot)
         cache.complete_os_flat("author", 1)
-        assert cache.stats()["disk_hits"] == 1
+        assert cache.stats().disk_hits == 1
         cache.invalidate()
         cache.complete_os_flat("author", 1)
         cache.complete_os_flat("author", 2)
         stats = cache.stats()
-        assert stats["disk_hits"] == 1  # nothing more served from disk
-        assert stats["tree_generations"] == 2
-        assert stats["snapshot_stale"] == 2
+        assert stats.disk_hits == 1  # nothing more served from disk
+        assert stats.tree_generations == 2
+        assert stats.snapshot_stale == 2
         cache.attach_snapshot(dblp_snapshot)  # revalidates; clears the masks
         cache.complete_os_flat("author", 3)  # was masked before the re-attach
-        assert cache.stats()["disk_hits"] == 2
+        assert cache.stats().disk_hits == 2
 
     def test_session_snapshot_path_round_trip(
         self, dblp, dblp_snapshot
@@ -561,8 +561,8 @@ class TestDiskTierServing:
         result = session.size_l("author", 1, 8, options=COMPLETE.replace(l=8))
         assert result.size == 8
         stats = session.cache_stats()
-        assert stats["disk_hits"] == 1
-        assert stats["tree_generations"] == 0
+        assert stats.disk_hits == 1
+        assert stats.tree_generations == 0
         assert session.describe()["snapshot"]["subjects"] == len(dblp_snapshot)
 
     def test_keyword_query_over_snapshot_index(
@@ -579,4 +579,4 @@ class TestDiskTierServing:
         assert [e.result.selected_uids for e in warm_results] == [
             e.result.selected_uids for e in cold_results
         ]
-        assert warm.cache_stats()["disk_hits"] == len(warm_results)
+        assert warm.cache_stats().disk_hits == len(warm_results)

@@ -46,12 +46,14 @@ class TestReadmeQuickstart:
             assert entry.result.render()
 
     def test_lower_level_entry_points(self, dblp_engine) -> None:
+        from repro import QueryOptions
+
         os_tree = dblp_engine.complete_os("author", 0)
         assert os_tree.size > 0
         prelim, stats = dblp_engine.prelim_os("author", 0, l=10)
         assert prelim.size >= 10
         result = dblp_engine.size_l(
-            "author", 0, l=10, algorithm="top_path", source="prelim"
+            "author", 0, options=QueryOptions(l=10, algorithm="top_path", source="prelim")
         )
         assert result.size == 10
 

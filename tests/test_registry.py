@@ -166,7 +166,7 @@ class TestBackendPluginEndToEnd:
                 ),
             )
             assert created, "factory was never invoked"
-            assert result.stats["backend"] == "recording_datagraph"
+            assert result.stats.backend == "recording_datagraph"
             assert result.size == 5
         finally:
             BACKEND_REGISTRY.unregister("recording_datagraph")

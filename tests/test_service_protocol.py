@@ -234,6 +234,14 @@ class TestValidation:
         with pytest.raises(RequestValidationError, match="wire limit"):
             decode_options({"parallel": {"workers": MAX_WIRE_WORKERS + 1}})
 
+    def test_wire_l_cap_enforced(self) -> None:
+        """A request must not be able to size a DP table past the cap."""
+        from repro.service.protocol import MAX_WIRE_L
+
+        assert decode_options({"l": MAX_WIRE_L}).l == MAX_WIRE_L
+        with pytest.raises(RequestValidationError, match="wire limit of 1000"):
+            decode_options({"l": MAX_WIRE_L + 1, "algorithm": "dp"})
+
     def test_batch_subject_cap_enforced(self) -> None:
         from repro.service.protocol import MAX_BATCH_SUBJECTS
 

@@ -63,9 +63,9 @@ class TestSingleFlight:
         assert len(calls) == 1  # one generation despite eight callers
         assert all(tree is trees[0] for tree in trees)
         stats = cache.stats()
-        assert stats["tree_generations"] == 1
-        assert stats["misses"] == 1
-        assert stats["single_flight_waits"] + stats["hits"] == n_threads - 1
+        assert stats.tree_generations == 1
+        assert stats.misses == 1
+        assert stats.single_flight_waits + stats.hits == n_threads - 1
 
     def test_concurrent_run_coalesces_memo_computation(
         self, dblp_engine, monkeypatch
@@ -86,9 +86,9 @@ class TestSingleFlight:
             ]
 
         assert len(calls) == 1
-        assert cache.stats()["result_computations"] == 1
+        assert cache.stats().result_computations == 1
         # exactly one caller got the miss-result; the rest got cached copies
-        cached_flags = sorted(r.stats["cached"] for r in results)
+        cached_flags = sorted(r.stats.cached for r in results)
         assert cached_flags == [False] + [True] * (n_threads - 1)
         assert len({frozenset(r.selected_uids) for r in results}) == 1
 
@@ -167,7 +167,7 @@ class TestInvalidateInFlight:
             cache.invalidate("author")  # scoped elsewhere, mid-generation
             tree = future.result()
         assert cache.complete_os_flat("paper", 1) is tree  # cached: a hit
-        assert cache.stats()["tree_generations"] == 1
+        assert cache.stats().tree_generations == 1
 
     def test_detached_leader_does_not_evict_successor_flight(
         self, dblp_engine, monkeypatch
@@ -215,8 +215,8 @@ class TestHammer:
 
         touched = {row for row, seen in outcomes.items() if seen}
         assert len(calls) == len(touched)  # single-flight: one generation each
-        assert cache.stats()["tree_generations"] == len(touched)
-        assert cache.stats()["result_computations"] == len(touched)
+        assert cache.stats().tree_generations == len(touched)
+        assert cache.stats().result_computations == len(touched)
         for row in touched:
             assert len(set(outcomes[row])) == 1  # everyone saw the same OS
 
@@ -396,19 +396,6 @@ class TestParallelKeywordQuery:
             start_times[row] < slow_done_at[0] for row in range(1, 6)
         ), (start_times, slow_done_at)
 
-    def test_keyword_query_deprecation_points_at_caller(self, dblp_engine) -> None:
-        import warnings
-
-        session = Session(dblp_engine)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            session.keyword_query("Faloutsos", l=5, algorithm="dp")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert deprecations
-        assert deprecations[0].filename == __file__  # not session.py
-
     def test_session_close_is_idempotent_and_recoverable(self, dblp_engine) -> None:
         with Session(dblp_engine) as session:
             assert session.keyword_query("Faloutsos", l=5, workers=4)
@@ -489,8 +476,8 @@ class TestDiskTierConcurrency:
         assert len(loads) == 1  # one disk load despite eight callers
         assert all(tree is trees[0] for tree in trees)
         stats = cache.stats()
-        assert stats["disk_hits"] == 1
-        assert stats["tree_generations"] == 0
+        assert stats.disk_hits == 1
+        assert stats.tree_generations == 0
 
     def test_evicted_subject_reserved_from_disk_not_regenerated(
         self, dblp_engine, dblp_snapshot, monkeypatch
@@ -502,7 +489,7 @@ class TestDiskTierConcurrency:
 
         cache.run("author", 1, options)
         cache.run("author", 2, options)  # capacity 1: evicts subject 1
-        assert cache.stats()["evictions"] == 1
+        assert cache.stats().evictions == 1
 
         n_threads = 6
         barrier = threading.Barrier(n_threads)
@@ -518,7 +505,7 @@ class TestDiskTierConcurrency:
 
         assert generations == []  # every serve came off the snapshot
         assert loads.count(("author", 1)) == 2  # initial + post-eviction
-        assert cache.stats()["disk_hits"] == 3  # subjects 1, 2, 1-again
+        assert cache.stats().disk_hits == 3  # subjects 1, 2, 1-again
         assert len({frozenset(r.selected_uids) for r in results}) == 1
 
     def test_invalidate_masks_disk_entry_under_concurrency(
@@ -527,7 +514,7 @@ class TestDiskTierConcurrency:
         generations = _slow(monkeypatch, dblp_engine, "complete_os_flat")
         cache = SummaryCache(dblp_engine, snapshot=dblp_snapshot)
         cache.complete_os_flat("author", 3)
-        assert cache.stats()["disk_hits"] == 1
+        assert cache.stats().disk_hits == 1
 
         cache.invalidate("author", 3)
         n_threads = 6
@@ -543,13 +530,13 @@ class TestDiskTierConcurrency:
         # the masked entry was never re-served: exactly one real generation
         assert len(generations) == 1
         stats = cache.stats()
-        assert stats["snapshot_stale"] == 1
-        assert stats["disk_hits"] == 1  # unchanged from before the invalidate
+        assert stats.snapshot_stale == 1
+        assert stats.disk_hits == 1  # unchanged from before the invalidate
         assert all(tree is trees[0] for tree in trees)
         # a scoped invalidate elsewhere leaves other disk entries servable
         cache.invalidate("paper")
         cache.complete_os_flat("author", 4)
-        assert cache.stats()["disk_hits"] == 2
+        assert cache.stats().disk_hits == 2
 
     def test_snapshot_false_caller_never_joins_a_disk_load_flight(
         self, dblp_engine, dblp_snapshot, monkeypatch
@@ -583,7 +570,7 @@ class TestDiskTierConcurrency:
         assert len(generations) == 1  # the opted-out caller generated
         assert fresh is not disk_tree
         stats = cache.stats()
-        assert stats["disk_hits"] == 1 and stats["tree_generations"] == 1
+        assert stats.disk_hits == 1 and stats.tree_generations == 1
 
     def test_snapshot_false_run_never_joins_a_disk_derived_result_flight(
         self, dblp_engine, dblp_snapshot, monkeypatch
@@ -614,8 +601,8 @@ class TestDiskTierConcurrency:
         assert len(generations) == 1  # the opted-out run regenerated
         assert fresh.selected_uids == from_disk.selected_uids  # same answer
         stats = cache.stats()
-        assert stats["result_computations"] == 2  # two independent pipelines
-        assert stats["tree_generations"] == 1 and stats["disk_hits"] == 1
+        assert stats.result_computations == 2  # two independent pipelines
+        assert stats.tree_generations == 1 and stats.disk_hits == 1
 
     def test_zipfian_hammer_disk_tier_no_duplicate_loads(
         self, dblp_engine, dblp_snapshot, monkeypatch
@@ -646,7 +633,7 @@ class TestDiskTierConcurrency:
         touched = {row for row, seen in outcomes.items() if seen}
         assert generations == []  # the snapshot covered every subject
         assert len(loads) == len(touched)  # single-flight on the disk tier
-        assert cache.stats()["disk_hits"] == len(touched)
+        assert cache.stats().disk_hits == len(touched)
         for row in touched:
             assert len(set(outcomes[row])) == 1
 
@@ -702,7 +689,7 @@ class TestCLIWorkers:
 
 
 class TestCacheStatsType:
-    """The typed CacheStats satellite: attributes, as_dict, deprecation shim."""
+    """The typed CacheStats record: attributes, as_dict, derived rates."""
 
     def test_stats_is_typed_and_frozen(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine)
@@ -727,19 +714,6 @@ class TestCacheStatsType:
             "snapshot_stale", "pool_hits", "pool_misses", "pool_evictions",
         }
         assert all(isinstance(v, int) for v in as_dict.values())
-
-    def test_string_indexing_warns_but_works(self, dblp_engine) -> None:
-        stats = SummaryCache(dblp_engine).stats()
-        with pytest.warns(DeprecationWarning, match="stats.hits"):
-            assert stats["hits"] == stats.hits
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                stats["not_a_counter"]
-
-    def test_dict_equality_both_ways(self, dblp_engine) -> None:
-        stats = SummaryCache(dblp_engine).stats()
-        assert stats == stats.as_dict()
-        assert stats.as_dict() == stats
 
     def test_derived_rates(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine)

@@ -4,6 +4,8 @@ iter_keyword_query laziness, batched size_l_many, and the uniform
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.core.cache import SummaryCache
@@ -30,9 +32,9 @@ class TestSessionBasics:
         # miss-result keeps cached=False
         assert second.summary is first.summary
         assert second.selected_uids == first.selected_uids
-        assert second.stats["cached"] is True
-        assert first.stats["cached"] is False
-        assert session.cache_stats()["hits"] >= 1
+        assert second.stats.cached is True
+        assert first.stats.cached is False
+        assert session.cache_stats().hits >= 1
 
     def test_size_l_many(self, session: Session) -> None:
         results = session.size_l_many([("author", 0), ("author", 1)], l=5)
@@ -50,25 +52,25 @@ class TestSessionBasics:
 
     def test_describe_includes_cache_and_defaults(self, session: Session) -> None:
         info = session.describe()
-        assert info["cache"] == session.cache_stats()
+        assert info["cache"] == session.cache_stats().as_dict()
         assert info["defaults"]["algorithm"] == "top_path"
 
     def test_invalidate(self, session: Session) -> None:
         session.size_l("author", 1, l=5)
         session.invalidate()
-        assert session.cache_stats()["cached_subjects"] == 0
+        assert session.cache_stats().cached_subjects == 0
 
     def test_keyword_query_results_cached_across_calls(
         self, session: Session
     ) -> None:
         first = session.keyword_query("Faloutsos", l=6)
-        before = session.cache_stats()["misses"]
+        before = session.cache_stats().misses
         second = session.keyword_query("Faloutsos", l=6)
-        assert session.cache_stats()["misses"] == before
+        assert session.cache_stats().misses == before
         assert [a.result.selected_uids for a in first] == [
             b.result.selected_uids for b in second
         ]
-        assert all(b.result.stats["cached"] for b in second)
+        assert all(b.result.stats.cached for b in second)
 
 
 class TestStreamingLaziness:
@@ -109,7 +111,9 @@ class TestStreamingLaziness:
     def test_options_validated_eagerly(self, session: Session) -> None:
         # the error surfaces at call time, not on first next()
         with pytest.raises(SummaryError, match="unknown algorithm"):
-            session.iter_keyword_query("Faloutsos", algorithm="magic")
+            session.iter_keyword_query(
+                "Faloutsos", options=QueryOptions(algorithm="magic")
+            )
 
     def test_batch_equals_stream(self, session: Session) -> None:
         batch = session.keyword_query("Faloutsos", l=7)
@@ -133,7 +137,11 @@ class TestValidationBeforeGeneration:
         dblp_engine.complete_os = counting_complete_os  # type: ignore[method-assign]
         try:
             with pytest.raises(SummaryError, match="unknown algorithm"):
-                cache.size_l("author", 1, 5, algorithm="magic")
+                cache.run(
+                    "author",
+                    1,
+                    QueryOptions(l=5, algorithm="magic", source=Source.COMPLETE),
+                )
             assert generated == []
         finally:
             del dblp_engine.complete_os
@@ -171,7 +179,9 @@ class TestUniformLValidation:
 
     def test_cache_size_l(self, dblp_engine) -> None:
         with pytest.raises(InvalidSizeError, match=self.MESSAGE):
-            SummaryCache(dblp_engine).size_l("author", 0, 0)
+            SummaryCache(dblp_engine).run(
+                "author", 0, QueryOptions(l=0, source=Source.COMPLETE)
+            )
 
     def test_cli_query(self, capsys) -> None:
         from repro.cli import main
@@ -201,41 +211,30 @@ class TestCacheBounds:
         free = dblp_engine.size_l(
             "author", 0, options=QueryOptions(l=3, source=Source.PRELIM)
         )
-        assert limited.stats["initial_os_size"] < free.stats["initial_os_size"]
+        assert limited.stats.initial_os_size < free.stats.initial_os_size
 
 
 class TestDeprecationShims:
-    def test_legacy_positional_algorithm_still_works(self, dblp_engine) -> None:
-        # pre-QueryOptions signature: size_l(table, row, l, "dp")
-        with pytest.warns(DeprecationWarning):
-            result = dblp_engine.size_l("author", 0, 6, "dp")
-        assert result.algorithm == "dp" and result.size == 6
-
     def test_non_queryoptions_options_rejected_clearly(self, dblp_engine) -> None:
         with pytest.raises(SummaryError, match="must be a QueryOptions"):
             dblp_engine.size_l("author", 0, options=42)  # type: ignore[arg-type]
+        # the pre-QueryOptions positional algorithm: size_l(table, row, l, "dp")
+        with pytest.raises(SummaryError, match="must be a QueryOptions"):
+            dblp_engine.size_l("author", 0, 6, "dp")  # type: ignore[arg-type]
 
-    def test_engine_string_kwargs_warn_but_work(self, dblp_engine) -> None:
-        with pytest.warns(DeprecationWarning):
-            result = dblp_engine.size_l(
-                "author", 0, l=6, algorithm="dp", source="complete"
-            )
-        typed = dblp_engine.size_l(
-            "author",
-            0,
-            options=QueryOptions(
-                l=6, algorithm=Algorithm.DP, source=Source.COMPLETE
-            ),
+    def test_options_and_legacy_kwargs_conflict(self, session: Session) -> None:
+        # no query method takes the pre-QueryOptions algorithm=/source=/
+        # backend= kwargs, with or without options=
+        engine = session.engine
+        methods = (
+            engine.size_l, engine.keyword_query, engine.iter_keyword_query,
+            session.size_l, session.size_l_many, session.keyword_query,
+            session.iter_keyword_query,
         )
-        assert result.selected_uids == typed.selected_uids
-
-    def test_session_string_kwargs_warn_but_work(self, session: Session) -> None:
-        with pytest.warns(DeprecationWarning):
-            results = session.keyword_query("Faloutsos", l=5, algorithm="top_path")
-        assert len(results) == 3
-
-    def test_options_and_legacy_kwargs_conflict(self, dblp_engine) -> None:
-        with pytest.raises(SummaryError, match="not both"):
-            dblp_engine.size_l(
+        for method in methods:
+            params = inspect.signature(method).parameters
+            assert not {"algorithm", "source", "backend"} & set(params), method
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            engine.size_l(
                 "author", 0, options=QueryOptions(), algorithm="dp"
-            )
+            )  # type: ignore[call-arg]
