@@ -22,7 +22,8 @@ Quantifies what the reliability tier (PR 7) actually buys, against a live
   the reference at its global rank.
 
 The run self-verifies: a wrong answer in any scenario fails the run even
-without ``--check``.
+without ``--check``, which fails when availability at the 5% fault rate
+drops more than 3 points below the committed baseline.
 
 Usage::
 
@@ -34,7 +35,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import threading
@@ -47,12 +47,16 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 import numpy as np  # noqa: E402
 
+from benchlib import Gate, bench_main, spread  # noqa: E402
 from repro.cluster import Cluster, ClusterRouter, DatasetSpec  # noqa: E402
 from repro.reliability import FaultPlan, FaultRule, install, uninstall  # noqa: E402
 from repro.service.deployment import Deployment  # noqa: E402
 from repro.service.dispatch import ServiceDispatcher  # noqa: E402
 
-SCHEMA_VERSION = 1
+BASELINE = "BENCH_chaos.json"
+GATES = (
+    Gate("availability at 5% faults", "fault_sweep.availability_at_5pct", floor=True, offset=-0.03),
+)
 SEED = 7
 SIZE_L = 30
 SHARDS = 3
@@ -209,6 +213,7 @@ def _drive(router, stream: list[tuple[str, int]], truth: dict) -> dict:
         "qps": total / elapsed,
         "mean_ms": float(np.mean(flat)) * 1e3,
         "p99_ms": float(np.percentile(flat, 99)) * 1e3,
+        "latency_ms": spread([latency * 1e3 for latency in flat]),
     }
 
 
@@ -332,6 +337,8 @@ def bench_deadline_504(cluster: Cluster, reference: dict, quick: bool) -> dict:
         "cluster_p99_ms": float(np.percentile(cluster_latencies, 99)) * 1e3,
         "single_p50_ms": float(np.percentile(single_latencies, 50)) * 1e3,
         "single_p99_ms": float(np.percentile(single_latencies, 99)) * 1e3,
+        "cluster_latency_ms": spread([t * 1e3 for t in cluster_latencies]),
+        "single_latency_ms": spread([t * 1e3 for t in single_latencies]),
         "bodies_byte_identical": identical,
     }
     print(
@@ -403,6 +410,7 @@ def bench_degraded(cluster: Cluster, reference: dict, quick: bool) -> dict:
         "availability": (ok + degraded) / trials,
         "mean_ms": float(np.mean(latencies)) * 1e3,
         "p99_ms": float(np.percentile(latencies, 99)) * 1e3,
+        "latency_ms": spread([latency * 1e3 for latency in latencies]),
         "recovered_full_answer": recovered_full,
     }
     print(
@@ -452,70 +460,5 @@ def run_mode(quick: bool) -> dict:
     }
 
 
-def check_regression(baseline_path: Path, mode: str, result: dict) -> int:
-    """Fail when availability at the 5% fault rate drops by >3 points."""
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    try:
-        committed = baseline["modes"][mode]["fault_sweep"]["availability_at_5pct"]
-    except KeyError:
-        print(f"CHECK SKIPPED: no '{mode}' baseline in {baseline_path}")
-        return 0
-    floor = committed - 0.03
-    current = result["fault_sweep"]["availability_at_5pct"]
-    verdict = "OK" if current >= floor else "REGRESSION"
-    print(
-        f"CHECK [{mode}]: availability at 5% faults {current * 100:.1f}% vs "
-        f"committed {committed * 100:.1f}% (floor {floor * 100:.1f}%) -> {verdict}"
-    )
-    return 0 if current >= floor else 1
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="small fixture (CI smoke mode)"
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=REPO_ROOT / "BENCH_chaos.json",
-        help="JSON output path (merged per mode; default: repo-root "
-        "BENCH_chaos.json)",
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        metavar="BASELINE",
-        help="compare against a committed baseline; exit 1 when availability "
-        "under 5% faults drops more than 3 points below it",
-    )
-    args = parser.parse_args(argv)
-
-    mode = "quick" if args.quick else "full"
-    print(f"===== bench_chaos [{mode}] =====")
-    result = run_mode(args.quick)
-
-    payload: dict = {"schema_version": SCHEMA_VERSION, "modes": {}}
-    if args.out.exists():
-        try:
-            existing = json.loads(args.out.read_text(encoding="utf-8"))
-            if existing.get("schema_version") == SCHEMA_VERSION:
-                payload = existing
-        except json.JSONDecodeError:
-            pass
-    payload["modes"][mode] = result
-    args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
-
-    verified = result["verified"]
-    if not all(verified.values()):
-        print(f"FAIL: verification failed: {verified}")
-        return 1
-    if args.check is not None:
-        return check_regression(args.check, mode, result)
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(bench_main(__doc__, BASELINE, run_mode, GATES))

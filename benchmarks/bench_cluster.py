@@ -33,7 +33,8 @@ worth and thrashes on the rest:
 
 The run self-verifies: every response in every mode is compared against
 reference ``Session.size_l`` output — a routing bug that served the wrong
-shard's answer would fail the run even without ``--check``.
+shard's answer would fail the run even without ``--check``, which fails
+when the 4-shard speedup drops below half the committed one.
 
 Usage::
 
@@ -45,8 +46,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import threading
 import time
@@ -58,11 +57,15 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 import numpy as np  # noqa: E402
 
+from benchlib import Gate, bench_main, measure, spread  # noqa: E402
 from repro.cluster import Cluster, ClusterRouter, DatasetSpec  # noqa: E402
 from repro.core.options import QueryOptions  # noqa: E402
 from repro.session import Session  # noqa: E402
 
-SCHEMA_VERSION = 1
+BASELINE = "BENCH_cluster.json"
+GATES = (
+    Gate("4-shard speedup", "sweep.speedup_4shard_vs_1", floor=True, scale=0.5),
+)
 SEED = 7
 SIZE_L = 30
 SHARD_SWEEP = (1, 2, 4)
@@ -201,6 +204,7 @@ def _drive(
         "qps": len(stream) / elapsed,
         "mean_ms": float(np.mean(flat)) * 1e3,
         "p99_ms": float(np.percentile(flat, 99)) * 1e3,
+        "latency_ms": spread([latency * 1e3 for latency in flat]),
     }
 
 
@@ -232,18 +236,20 @@ def bench_sweep(reference: dict) -> dict:
                 )
                 assert status == 200
             _, before = cluster.dispatch_safe("/v1/stats", {"dataset": "dblp"})
-            passes = [
-                _drive(cluster.router, stream, reference["truth"])
-                for _ in range(REPEATS)
-            ]
+            timing, passes = measure(
+                lambda: _drive(cluster.router, stream, reference["truth"]),
+                REPEATS,
+                seconds=lambda driven: driven["seconds"],
+            )
             _, after = cluster.dispatch_safe("/v1/stats", {"dataset": "dblp"})
-        best = max(passes, key=lambda driven: driven["qps"])
+        best = passes[0]  # the fastest pass: the highest QPS
         hits = after["cache"]["hits"] - before["cache"]["hits"]
         misses = after["cache"]["misses"] - before["cache"]["misses"]
         point = {
             "shards": shards,
             **best,
             "repeats": REPEATS,
+            "timing": timing,
             # correctness is judged over EVERY pass, not just the fastest
             "wrong": sum(driven["wrong"] for driven in passes),
             "all_passes_correct": all(
@@ -509,70 +515,5 @@ def run_mode(quick: bool) -> dict:
     }
 
 
-def check_regression(baseline_path: Path, mode: str, result: dict) -> int:
-    """Fail when the sharding speedup halved vs the committed baseline."""
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    try:
-        committed = baseline["modes"][mode]["sweep"]["speedup_4shard_vs_1"]
-    except KeyError:
-        print(f"CHECK SKIPPED: no '{mode}' baseline in {baseline_path}")
-        return 0
-    floor = committed / 2.0
-    current = result["sweep"]["speedup_4shard_vs_1"]
-    verdict = "OK" if current >= floor else "REGRESSION"
-    print(
-        f"CHECK [{mode}]: 4-shard speedup {current:.2f}x vs committed "
-        f"{committed:.2f}x (floor {floor:.2f}x) -> {verdict}"
-    )
-    return 0 if current >= floor else 1
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="small fixture (CI smoke mode)"
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=REPO_ROOT / "BENCH_cluster.json",
-        help="JSON output path (merged per mode; default: repo-root "
-        "BENCH_cluster.json)",
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        metavar="BASELINE",
-        help="compare against a committed baseline; exit 1 when the "
-        "sharding speedup drops below half of it",
-    )
-    args = parser.parse_args(argv)
-
-    mode = "quick" if args.quick else "full"
-    print(f"===== bench_cluster [{mode}] =====")
-    result = run_mode(args.quick)
-
-    payload: dict = {"schema_version": SCHEMA_VERSION, "modes": {}}
-    if args.out.exists():
-        try:
-            existing = json.loads(args.out.read_text(encoding="utf-8"))
-            if existing.get("schema_version") == SCHEMA_VERSION:
-                payload = existing
-        except json.JSONDecodeError:
-            pass
-    payload["modes"][mode] = result
-    args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
-
-    verified = result["verified"]
-    if not all(verified.values()):
-        print(f"FAIL: verification failed: {verified}")
-        return 1
-    if args.check is not None:
-        return check_regression(args.check, mode, result)
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(bench_main(__doc__, BASELINE, run_mode, GATES))

@@ -13,17 +13,14 @@ Measures, on the synthetic DBLP fixture:
   FlatOS vs the node-based reference bodies (the trees and selections are
   asserted identical first).
 
-Results are written as JSON (default: ``BENCH_core.json`` at the repo
-root) under a per-mode key, so one file can hold both the ``full`` run
-(the committed perf trajectory future PRs regress against) and the
-``quick`` run (the CI smoke gate's baseline).
-
-``--check BASELINE.json`` is the CI regression gate: it compares this
-run's complete-OS flat-vs-legacy generation *speedup* against the same mode's
-committed speedup and fails (exit 1) when the current value has dropped
-below half of it.  The gate is a within-run ratio rather than absolute
-seconds because both paths run on the same machine in the same process —
-absolute timings on shared CI runners are noise, the ratio is not.
+Each generation and size-l timing is the best of a few passes
+(:func:`benchlib.measure` records their spread beside it).  The ``--out`` record (default:
+``BENCH_core.json`` at the repo root) and ``--check`` come from
+:func:`benchlib.bench_main`.  The gate is the complete-OS flat-vs-legacy
+generation *speedup*, which may not drop below half the committed one: a
+within-run ratio rather than absolute seconds, because both paths run on
+the same machine in the same process — absolute timings on shared CI
+runners are noise, the ratio is not.
 
 Usage::
 
@@ -35,10 +32,7 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +42,7 @@ for _path in (REPO_ROOT / "src", REPO_ROOT):  # repro, and tests.oracles
 
 import numpy as np  # noqa: E402
 
+from benchlib import Gate, bench_main, measure  # noqa: E402
 from repro.core.engine import SizeLEngine  # noqa: E402
 from repro.core.generation import DataGraphBackend  # noqa: E402
 from repro.core.registry import get_algorithm  # noqa: E402
@@ -62,7 +57,10 @@ from tests.oracles import (  # noqa: E402
     generate_prelim_os_nodes,
 )
 
-SCHEMA_VERSION = 1
+BASELINE = "BENCH_core.json"
+GATES = (
+    Gate("flat generation speedup", "complete_os_generation.speedup", floor=True, scale=0.5),
+)
 SIZE_L = 20
 
 #: report name -> (FlatOS algorithm, node-based reference body)
@@ -70,16 +68,6 @@ ALGORITHMS = {
     registered: (get_algorithm(registered), oracle)
     for _name, registered, oracle in ORACLE_ALGORITHMS
 }
-
-
-def _best_of(fn, repeats: int) -> float:
-    """Best-of-N wall time of *fn* (minimum filters scheduler noise)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def run_mode(quick: bool) -> dict:
@@ -146,26 +134,31 @@ def run_mode(quick: bool) -> dict:
         for subject in subjects:
             engine.prelim_os("author", subject, SIZE_L)
 
-    legacy_seconds = _best_of(generate_legacy, repeats)
-    flat_seconds = _best_of(generate_flat, repeats)
-    prelim_legacy_seconds = _best_of(prelim_legacy, repeats)
-    prelim_flat_seconds = _best_of(prelim_flat, repeats)
+    legacy_timing, _ = measure(generate_legacy, repeats)
+    flat_timing, _ = measure(generate_flat, repeats)
+    prelim_legacy_timing, _ = measure(prelim_legacy, repeats)
+    prelim_flat_timing, _ = measure(prelim_flat, repeats)
+    legacy_seconds, flat_seconds = legacy_timing["min"], flat_timing["min"]
+    prelim_legacy_seconds = prelim_legacy_timing["min"]
+    prelim_flat_seconds = prelim_flat_timing["min"]
 
     largest = subjects[0]
     legacy_tree = legacy_os(largest)
     flat_tree = engine.complete_os_flat("author", largest)
     algorithms = {}
     for name, (flat_algo, legacy_algo) in ALGORITHMS.items():
-        algo_legacy = _best_of(lambda a=legacy_algo: a(legacy_tree, SIZE_L), repeats)
-        algo_flat = _best_of(lambda a=flat_algo: a(flat_tree, SIZE_L), repeats)
+        algo_legacy, _ = measure(lambda a=legacy_algo: a(legacy_tree, SIZE_L), repeats)
+        algo_flat, _ = measure(lambda a=flat_algo: a(flat_tree, SIZE_L), repeats)
         algorithms[name] = {
             "l": SIZE_L,
-            "legacy_seconds": algo_legacy,
-            "flat_seconds": algo_flat,
-            "speedup": algo_legacy / algo_flat,
+            "legacy_seconds": algo_legacy["min"],
+            "flat_seconds": algo_flat["min"],
+            "speedup": algo_legacy["min"] / algo_flat["min"],
+            "legacy_timing": algo_legacy,
+            "flat_timing": algo_flat,
         }
 
-    return {
+    result = {
         "fixture": {
             "dataset": "synthetic-dblp",
             "seed": config.seed,
@@ -186,6 +179,8 @@ def run_mode(quick: bool) -> dict:
             "speedup": legacy_seconds / flat_seconds,
             "legacy_nodes_per_second": total_nodes / legacy_seconds,
             "flat_nodes_per_second": total_nodes / flat_seconds,
+            "legacy_timing": legacy_timing,
+            "flat_timing": flat_timing,
         },
         "prelim_os_generation": {
             "l": SIZE_L,
@@ -193,16 +188,19 @@ def run_mode(quick: bool) -> dict:
             "legacy_seconds": prelim_legacy_seconds,
             "flat_seconds": prelim_flat_seconds,
             "speedup": prelim_legacy_seconds / prelim_flat_seconds,
+            "legacy_timing": prelim_legacy_timing,
+            "flat_timing": prelim_flat_timing,
         },
         "size_l": algorithms,
     }
+    print_report(result)
+    return result
 
 
-def print_report(mode: str, result: dict) -> None:
+def print_report(result: dict) -> None:
     gen = result["complete_os_generation"]
     dg = result["data_graph"]
     fixture = result["fixture"]
-    print(f"===== bench_core_micro [{mode}] =====")
     print(
         f"fixture: {fixture['n_authors']} authors / {fixture['n_papers']} papers, "
         f"{fixture['subjects']} subjects, {fixture['total_os_nodes']} OS nodes"
@@ -232,64 +230,5 @@ def print_report(mode: str, result: dict) -> None:
         )
 
 
-def check_regression(baseline_path: Path, mode: str, result: dict) -> int:
-    """Fail (1) when generation speedup fell below half the baseline's."""
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    try:
-        committed = baseline["modes"][mode]["complete_os_generation"]["speedup"]
-    except KeyError:
-        print(f"CHECK SKIPPED: no '{mode}' baseline in {baseline_path}")
-        return 0
-    floor = committed / 2.0
-    current = result["complete_os_generation"]["speedup"]
-    verdict = "OK" if current >= floor else "REGRESSION"
-    print(
-        f"CHECK [{mode}]: flat generation speedup {current:.1f}x vs committed "
-        f"{committed:.1f}x (floor {floor:.1f}x) -> {verdict}"
-    )
-    return 0 if current >= floor else 1
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="small fixture (CI smoke mode)"
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=REPO_ROOT / "BENCH_core.json",
-        help="JSON output path (merged per mode; default: repo-root BENCH_core.json)",
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        metavar="BASELINE",
-        help="compare against a committed baseline; exit 1 on a >2x regression",
-    )
-    args = parser.parse_args(argv)
-
-    mode = "quick" if args.quick else "full"
-    result = run_mode(args.quick)
-    print_report(mode, result)
-
-    payload: dict = {"schema_version": SCHEMA_VERSION, "modes": {}}
-    if args.out.exists():
-        try:
-            existing = json.loads(args.out.read_text(encoding="utf-8"))
-            if existing.get("schema_version") == SCHEMA_VERSION:
-                payload = existing
-        except json.JSONDecodeError:
-            pass
-    payload["modes"][mode] = result
-    args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
-
-    if args.check is not None:
-        return check_regression(args.check, mode, result)
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(bench_main(__doc__, BASELINE, run_mode, GATES))

@@ -20,7 +20,7 @@ def test_dgbuild_dblp(benchmark, dblp_bench) -> None:
     emit(
         "dgbuild_dblp",
         f"rows={dblp_bench.db.total_rows}  fk_tuple_edges={graph.edge_count}  "
-        f"approx_bytes={graph.approx_size_bytes()}",
+        f"bytes={graph.size_bytes()}",
     )
     assert graph.edge_count > 0
 
@@ -31,7 +31,7 @@ def test_dgbuild_tpch(benchmark, tpch_bench) -> None:
     emit(
         "dgbuild_tpch",
         f"rows={tpch_bench.db.total_rows}  fk_tuple_edges={graph.edge_count}  "
-        f"approx_bytes={graph.approx_size_bytes()}",
+        f"bytes={graph.size_bytes()}",
     )
     assert graph.edge_count > 0
 

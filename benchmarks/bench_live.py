@@ -21,8 +21,9 @@ serving dataset:
 The run self-verifies: the dataset version must equal the number of
 committed transactions, every watch round must deliver exactly its
 notification with the expected membership flip, and the final table state
-is checked against the last write.  ``--check`` gates throughput and
-latency against the committed baseline.
+is checked against the last write.  ``--check`` fails when write
+throughput halves or watch mean latency triples against the committed
+baseline.
 
 Usage::
 
@@ -34,8 +35,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import threading
 import time
@@ -47,11 +46,19 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 import numpy as np  # noqa: E402
 
+from benchlib import Gate, bench_main, spread  # noqa: E402
 from repro.core.options import QueryOptions  # noqa: E402
 from repro.db.mutation import Delete, Insert, Update  # noqa: E402
 from repro.session import Session  # noqa: E402
 
-SCHEMA_VERSION = 1
+BASELINE = "BENCH_live.json"
+#: The latency gate reads the *mean*: with tens of rounds the p99 is a
+#: max, and one scheduler hiccup on a shared CI box would fake a
+#: regression.  A real slowdown in the notify path moves the mean too.
+GATES = (
+    Gate("mutation throughput (tx/s)", "mutations.tx_per_sec", floor=True, scale=0.5),
+    Gate("watch mean (ms)", "watch.mean_ms", floor=False, scale=3.0),
+)
 SEED = 7
 SIZE_L = 20
 READER_THREADS = 2
@@ -146,6 +153,7 @@ def bench_mutations(session: Session, n_transactions: int) -> dict:
         "tx_per_sec": len(stream) / elapsed,
         "mean_ms": float(np.mean(latencies)) * 1e3,
         "p99_ms": float(np.percentile(latencies, 99)) * 1e3,
+        "latency_ms": spread([latency * 1e3 for latency in latencies]),
         "reader_queries": sum(reader_queries),
         "reader_errors": reader_errors,
         "versions_committed": session.dataset_version - version_before,
@@ -194,6 +202,7 @@ def bench_watch(session: Session, rounds: int) -> dict:
         "flips_correct": flips_correct,
         "mean_ms": float(np.mean(latencies)) * 1e3,
         "p99_ms": float(np.percentile(latencies, 99)) * 1e3,
+        "latency_ms": spread([latency * 1e3 for latency in latencies]),
     }
 
 
@@ -248,86 +257,5 @@ def run_mode(quick: bool) -> dict:
     }
 
 
-def check_regression(baseline_path: Path, mode: str, result: dict) -> int:
-    """Fail when write throughput halved or watch latency tripled.
-
-    The latency gate uses the *mean*: with tens of rounds the p99 is a
-    max, and one scheduler hiccup on a shared CI box would fake a
-    regression.  A real slowdown in the notify path moves the mean too.
-    """
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    try:
-        committed = baseline["modes"][mode]
-    except KeyError:
-        print(f"CHECK SKIPPED: no '{mode}' baseline in {baseline_path}")
-        return 0
-    failures = 0
-
-    tx_floor = committed["mutations"]["tx_per_sec"] / 2.0
-    tx_now = result["mutations"]["tx_per_sec"]
-    verdict = "OK" if tx_now >= tx_floor else "REGRESSION"
-    print(
-        f"CHECK [{mode}]: mutation throughput {tx_now:.0f} tx/s vs committed "
-        f"{committed['mutations']['tx_per_sec']:.0f} (floor {tx_floor:.0f}) -> {verdict}"
-    )
-    failures += tx_now < tx_floor
-
-    latency_ceiling = committed["watch"]["mean_ms"] * 3.0
-    latency_now = result["watch"]["mean_ms"]
-    verdict = "OK" if latency_now <= latency_ceiling else "REGRESSION"
-    print(
-        f"CHECK [{mode}]: watch mean {latency_now:.2f} ms vs committed "
-        f"{committed['watch']['mean_ms']:.2f} (ceiling {latency_ceiling:.2f}) -> {verdict}"
-    )
-    failures += latency_now > latency_ceiling
-    return 1 if failures else 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="small fixture (CI smoke mode)"
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=REPO_ROOT / "BENCH_live.json",
-        help="JSON output path (merged per mode; default: repo-root BENCH_live.json)",
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        metavar="BASELINE",
-        help="compare against a committed baseline; exit 1 when write "
-        "throughput halves or watch mean latency triples",
-    )
-    args = parser.parse_args(argv)
-
-    mode = "quick" if args.quick else "full"
-    print(f"===== bench_live [{mode}] =====")
-    result = run_mode(args.quick)
-
-    payload: dict = {"schema_version": SCHEMA_VERSION, "modes": {}}
-    if args.out.exists():
-        try:
-            existing = json.loads(args.out.read_text(encoding="utf-8"))
-            if existing.get("schema_version") == SCHEMA_VERSION:
-                payload = existing
-        except json.JSONDecodeError:
-            pass
-    payload["modes"][mode] = result
-    args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
-
-    verified = result["verified"]
-    if not all(verified.values()):
-        print(f"FAIL: verification failed: {verified}")
-        return 1
-    if args.check is not None:
-        return check_regression(args.check, mode, result)
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(bench_main(__doc__, BASELINE, run_mode, GATES))

@@ -18,12 +18,16 @@ DBMS already exists) and end in the same servable state: every hot
 subject's complete OS available at memory-or-disk speed (the cold
 variant's trees end up in RAM, the snapshot's in the page cache; the
 per-serve gap is reported as ``first_query_seconds``).  Timings are the
-best of ``REPEATS`` runs.  The run also self-verifies:
+best of ``REPEATS`` runs, with their spread beside them.  The run also
+self-verifies:
 
 * the warm first results are selection-identical to the cold ones
   (serving from disk must be indistinguishable from generating);
 * a corrupted arena and a mismatched-fingerprint snapshot are rejected
   with the library's typed errors (never silently served).
+
+``--check`` fails when the snapshot cold-start speedup drops below half
+the committed one (a within-run ratio, so shared-runner noise cancels).
 
 Usage::
 
@@ -35,8 +39,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import shutil
 import sys
 import tempfile
@@ -47,13 +49,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from benchlib import Gate, bench_main, measure  # noqa: E402
 from repro.core.builder import EngineBuilder  # noqa: E402
 from repro.core.options import QueryOptions, Source  # noqa: E402
 from repro.datasets.dblp import DBLPConfig, generate_dblp  # noqa: E402
 from repro.errors import SnapshotFormatError, SnapshotMismatchError  # noqa: E402
 from repro.persist import Snapshot, precompute_snapshot, select_subjects  # noqa: E402
 
-SCHEMA_VERSION = 1
+BASELINE = "BENCH_persist.json"
+GATES = (
+    Gate("snapshot cold-start speedup", "cold_start.speedup", floor=True, scale=0.5),
+)
 SIZE_L = 10
 KEYWORDS = "Faloutsos"
 #: Cold starts re-run cleanly (each run builds a fresh Session), so the
@@ -129,8 +135,16 @@ def _cold_start(
     }
 
 
-def _best_of(run) -> dict:
-    return min((run() for _ in range(REPEATS)), key=lambda row: row["total_seconds"])
+def _fastest_cold_start(
+    dataset, hot_subjects: list[tuple[str, int]], snapshot_path: Path | None
+) -> dict:
+    """The fastest of ``REPEATS`` cold starts, with the spread of all."""
+    timing, runs = measure(
+        lambda: _cold_start(dataset, hot_subjects, snapshot_path),
+        REPEATS,
+        seconds=lambda row: row["total_seconds"],
+    )
+    return {**runs[0], "timing": timing}
 
 
 def verify_rejection(dataset, snapshot_path: Path, workdir: Path) -> dict:
@@ -174,8 +188,8 @@ def run_mode(quick: bool) -> dict:
         )
         precompute_seconds = time.perf_counter() - precompute_start
 
-        full = _best_of(lambda: _cold_start(dataset, hot_subjects, None))
-        snap = _best_of(lambda: _cold_start(dataset, hot_subjects, snapshot_path))
+        full = _fastest_cold_start(dataset, hot_subjects, None)
+        snap = _fastest_cold_start(dataset, hot_subjects, snapshot_path)
 
         results_match = full.pop("results") == snap.pop("results")
         speedup = full["total_seconds"] / snap["total_seconds"]
@@ -229,69 +243,5 @@ def run_mode(quick: bool) -> dict:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def check_regression(baseline_path: Path, mode: str, result: dict) -> int:
-    """Fail when the cold-start speedup fell below half the baseline."""
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    try:
-        committed = baseline["modes"][mode]["cold_start"]["speedup"]
-    except KeyError:
-        print(f"CHECK SKIPPED: no '{mode}' baseline in {baseline_path}")
-        return 0
-    floor = committed / 2.0
-    current = result["cold_start"]["speedup"]
-    verdict = "OK" if current >= floor else "REGRESSION"
-    print(
-        f"CHECK [{mode}]: snapshot cold-start speedup {current:.1f}x vs "
-        f"committed {committed:.1f}x (floor {floor:.1f}x) -> {verdict}"
-    )
-    return 0 if current >= floor else 1
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="small fixture (CI smoke mode)"
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=REPO_ROOT / "BENCH_persist.json",
-        help="JSON output path (merged per mode; default: repo-root "
-        "BENCH_persist.json)",
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        metavar="BASELINE",
-        help="compare against a committed baseline; exit 1 on a >2x regression",
-    )
-    args = parser.parse_args(argv)
-
-    mode = "quick" if args.quick else "full"
-    print(f"===== bench_persist [{mode}] =====")
-    result = run_mode(args.quick)
-
-    payload: dict = {"schema_version": SCHEMA_VERSION, "modes": {}}
-    if args.out.exists():
-        try:
-            existing = json.loads(args.out.read_text(encoding="utf-8"))
-            if existing.get("schema_version") == SCHEMA_VERSION:
-                payload = existing
-        except json.JSONDecodeError:
-            pass
-    payload["modes"][mode] = result
-    args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
-
-    verified = result["verified"]
-    if not all(verified.values()):
-        print(f"FAIL: verification failed: {verified}")
-        return 1
-    if args.check is not None:
-        return check_regression(args.check, mode, result)
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(bench_main(__doc__, BASELINE, run_mode, GATES))

@@ -10,6 +10,9 @@ transport inherits:
   response dict).  The difference is the per-request DTO-codec + dispatch
   overhead; the gate regresses ``overhead_ratio`` (service time / direct
   time), a within-run ratio so shared-runner noise cancels out.
+* ``middleware``: the same warm stream through the bare dispatcher, the
+  disarmed pipeline and the fully armed one; the gates regress the
+  disarmed and armed ratios to the bare dispatcher.
 * ``codec``: the pure codec microbench — ``decode(encode(request))``
   round-trips per second, no engine behind it.
 * ``http_smoke``: boots the real ``repro serve`` CLI as a subprocess on
@@ -17,6 +20,7 @@ transport inherits:
   cursor requests, and checks the union against the direct results.
   Latency is reported, not gated (it includes socket + process noise).
 
+Each warm pass is the best of ``REPEATS``, with the spread beside it.
 The run self-verifies: the service-path results must be node-for-node
 identical to the direct ones, and the paged union must equal the unpaged
 result list — a silent divergence fails the run even without ``--check``.
@@ -31,7 +35,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -47,6 +50,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 import numpy as np  # noqa: E402
 
+from benchlib import Gate, bench_main, measure  # noqa: E402
 from repro.core.options import QueryOptions  # noqa: E402
 from repro.datasets.dblp import DBLPConfig, generate_dblp  # noqa: E402
 from repro.service import Deployment, ServiceDispatcher  # noqa: E402
@@ -57,7 +61,17 @@ from repro.service.protocol import (  # noqa: E402
 )
 from repro.session import Session  # noqa: E402
 
-SCHEMA_VERSION = 1
+BASELINE = "BENCH_service.json"
+#: The dispatch ratio may at most double.  The middleware gates are
+#: absolute slack: the stack's share of a warm request may grow by at
+#: most half a raw request over the committed ratio — tight enough to
+#: catch a real per-request regression, loose enough for shared-runner
+#: noise.
+GATES = (
+    Gate("service/direct overhead ratio", "dispatch.overhead_ratio", floor=False, scale=2.0),
+    Gate("middleware disarmed ratio", "middleware.disarmed_ratio", floor=False, offset=0.5),
+    Gate("middleware armed ratio", "middleware.armed_ratio", floor=False, offset=0.5),
+)
 SIZE_L = 10
 ZIPF_A = 1.2
 REPEATS = 3  # best-of filter against scheduler noise (as the other benches)
@@ -123,16 +137,13 @@ def bench_dispatch(session: Session, stream: list[str]) -> dict:
     for keywords in set(stream):
         session.keyword_query(keywords, options=options)
 
-    def run_direct() -> tuple[float, list]:
-        start = time.perf_counter()
-        outcomes = [
+    def run_direct() -> list:
+        return [
             _result_keys(session.keyword_query(kw, options=options))
             for kw in stream
         ]
-        return time.perf_counter() - start, outcomes
 
-    def run_service() -> tuple[float, list]:
-        start = time.perf_counter()
+    def run_service() -> list:
         outcomes = []
         for keywords in stream:
             body = dispatcher.dispatch(
@@ -144,15 +155,12 @@ def bench_dispatch(session: Session, stream: list[str]) -> dict:
                 },
             )
             outcomes.append(_wire_keys(body))
-        return time.perf_counter() - start, outcomes
+        return outcomes
 
-    direct_seconds, direct_results = min(
-        (run_direct() for _ in range(REPEATS)), key=lambda pair: pair[0]
-    )
-    service_seconds, service_results = min(
-        (run_service() for _ in range(REPEATS)), key=lambda pair: pair[0]
-    )
-    identical = direct_results == service_results
+    direct_timing, direct_runs = measure(run_direct, REPEATS)
+    service_timing, service_runs = measure(run_service, REPEATS)
+    direct_seconds, service_seconds = direct_timing["min"], service_timing["min"]
+    identical = direct_runs[0] == service_runs[0]
     n = len(stream)
     overhead_us = (service_seconds - direct_seconds) / n * 1e6
     return {
@@ -164,6 +172,8 @@ def bench_dispatch(session: Session, stream: list[str]) -> dict:
         "overhead_us_per_request": overhead_us,
         "overhead_ratio": service_seconds / direct_seconds,
         "identical_results": identical,
+        "direct_timing": direct_timing,
+        "service_timing": service_timing,
     }
 
 
@@ -190,16 +200,11 @@ def bench_middleware(session: Session, stream: list[str]) -> dict:
         for kw in stream
     ]
 
-    def timed(run) -> tuple[float, list]:
-        return min((run() for _ in range(REPEATS)), key=lambda pair: pair[0])
-
-    def run_raw() -> tuple[float, list]:
-        start = time.perf_counter()
-        outcomes = [
+    def run_raw() -> list:
+        return [
             _wire_keys(dispatcher.dispatch_safe("/v1/query", p)[1])
             for p in payloads
         ]
-        return time.perf_counter() - start, outcomes
 
     with tempfile.TemporaryDirectory() as tmp:
         token_file = Path(tmp) / "tokens"
@@ -216,16 +221,13 @@ def bench_middleware(session: Session, stream: list[str]) -> dict:
                 ),
             )
 
-            def run_disarmed() -> tuple[float, list]:
-                start = time.perf_counter()
-                outcomes = [
+            def run_disarmed() -> list:
+                return [
                     _wire_keys(disarmed.dispatch_safe("/v1/query", p)[1])
                     for p in payloads
                 ]
-                return time.perf_counter() - start, outcomes
 
-            def run_armed() -> tuple[float, list]:
-                start = time.perf_counter()
+            def run_armed() -> list:
                 outcomes = []
                 for p in payloads:
                     ctx = RequestContext(
@@ -233,12 +235,15 @@ def bench_middleware(session: Session, stream: list[str]) -> dict:
                     )
                     _status, body = armed.handle(ctx, "/v1/query", p)
                     outcomes.append(_wire_keys(body))
-                return time.perf_counter() - start, outcomes
+                return outcomes
 
-            raw_seconds, raw_results = timed(run_raw)
-            disarmed_seconds, disarmed_results = timed(run_disarmed)
-            armed_seconds, armed_results = timed(run_armed)
+            raw_timing, raw_runs = measure(run_raw, REPEATS)
+            disarmed_timing, disarmed_runs = measure(run_disarmed, REPEATS)
+            armed_timing, armed_runs = measure(run_armed, REPEATS)
 
+    raw_seconds = raw_timing["min"]
+    disarmed_seconds = disarmed_timing["min"]
+    armed_seconds = armed_timing["min"]
     n = len(payloads)
     return {
         "n_requests": n,
@@ -249,7 +254,10 @@ def bench_middleware(session: Session, stream: list[str]) -> dict:
         "armed_overhead_us": (armed_seconds - raw_seconds) / n * 1e6,
         "disarmed_ratio": disarmed_seconds / raw_seconds,
         "armed_ratio": armed_seconds / raw_seconds,
-        "identical_results": raw_results == disarmed_results == armed_results,
+        "identical_results": raw_runs[0] == disarmed_runs[0] == armed_runs[0],
+        "raw_timing": raw_timing,
+        "disarmed_timing": disarmed_timing,
+        "armed_timing": armed_timing,
     }
 
 
@@ -401,93 +409,5 @@ def run_mode(quick: bool) -> dict:
     }
 
 
-def check_regression(baseline_path: Path, mode: str, result: dict) -> int:
-    """Fail when the serve-path or middleware overhead regressed.
-
-    The dispatch gate keeps its historical shape (ratio may at most
-    double).  The middleware gates are absolute-slack ratios: the stack's
-    share of a warm request may grow by at most half a raw request over
-    the committed baseline — tight enough to catch a real per-request
-    regression, loose enough for shared-runner noise.
-    """
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    try:
-        committed = baseline["modes"][mode]["dispatch"]["overhead_ratio"]
-    except KeyError:
-        print(f"CHECK SKIPPED: no '{mode}' baseline in {baseline_path}")
-        return 0
-    ceiling = committed * 2.0
-    current = result["dispatch"]["overhead_ratio"]
-    verdict = "OK" if current <= ceiling else "REGRESSION"
-    print(
-        f"CHECK [{mode}]: service/direct overhead ratio {current:.2f}x vs "
-        f"committed {committed:.2f}x (ceiling {ceiling:.2f}x) -> {verdict}"
-    )
-    failed = current > ceiling
-
-    committed_mw = baseline["modes"][mode].get("middleware")
-    if committed_mw is None:
-        print(f"CHECK [{mode}]: no middleware baseline committed yet -> SKIPPED")
-    else:
-        for tier in ("disarmed", "armed"):
-            key = f"{tier}_ratio"
-            mw_ceiling = committed_mw[key] + 0.5
-            mw_current = result["middleware"][key]
-            mw_verdict = "OK" if mw_current <= mw_ceiling else "REGRESSION"
-            print(
-                f"CHECK [{mode}]: middleware {tier} ratio {mw_current:.2f}x vs "
-                f"committed {committed_mw[key]:.2f}x "
-                f"(ceiling {mw_ceiling:.2f}x) -> {mw_verdict}"
-            )
-            failed = failed or mw_current > mw_ceiling
-    return 1 if failed else 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="small fixture (CI smoke mode)"
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=REPO_ROOT / "BENCH_service.json",
-        help="JSON output path (merged per mode; default: repo-root "
-        "BENCH_service.json)",
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        metavar="BASELINE",
-        help="compare against a committed baseline; exit 1 on a >2x regression",
-    )
-    args = parser.parse_args(argv)
-
-    mode = "quick" if args.quick else "full"
-    print(f"===== bench_service [{mode}] =====")
-    result = run_mode(args.quick)
-
-    payload: dict = {"schema_version": SCHEMA_VERSION, "modes": {}}
-    if args.out.exists():
-        try:
-            existing = json.loads(args.out.read_text(encoding="utf-8"))
-            if existing.get("schema_version") == SCHEMA_VERSION:
-                payload = existing
-        except json.JSONDecodeError:
-            pass
-    payload["modes"][mode] = result
-    args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
-
-    verified = result["verified"]
-    if not all(verified.values()):
-        print(f"FAIL: verification failed: {verified}")
-        return 1
-    if args.check is not None:
-        return check_regression(args.check, mode, result)
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(bench_main(__doc__, BASELINE, run_mode, GATES))

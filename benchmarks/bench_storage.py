@@ -27,6 +27,12 @@ The run self-verifies (any failure exits 1):
   residency);
 * full mode loads a >= 100k-tuple dataset through the real XML parser.
 
+Cold starts are the best of ``REPEATS``, with the spread beside them.
+``--check`` gates two dimensionless metrics, so it is stable across
+machines: the sqlite backend may not fall below half its committed
+relative throughput, and the full-arena pool's hit rate may not drop
+more than 0.15 absolute.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_storage.py            # full
@@ -37,8 +43,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import shutil
 import sys
 import tempfile
@@ -49,6 +53,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from benchlib import Gate, bench_main, measure  # noqa: E402
 from repro.core.builder import EngineBuilder  # noqa: E402
 from repro.core.options import QueryOptions, Source  # noqa: E402
 from repro.datasets.dblp import DBLPConfig, generate_dblp  # noqa: E402
@@ -62,7 +67,11 @@ from repro.storage import (  # noqa: E402
     write_dblp_xml,
 )
 
-SCHEMA_VERSION = 1
+BASELINE = "BENCH_storage.json"
+GATES = (
+    Gate("sqlite/datagraph qps ratio", "warm_qps.sqlite_vs_datagraph", floor=True, scale=0.5),
+    Gate("100% pool hit rate", "buffer_pool.pools.100%.hit_rate", floor=True, offset=-0.15),
+)
 SIZE_L = 10
 KEYWORDS = "Faloutsos"
 #: Pool capacities exercised, as fractions of the CSR arena.
@@ -153,8 +162,11 @@ def bench_cold_start(sqlite_path: Path) -> dict:
             "session": session,
         }
 
-    file_runs = [from_file() for _ in range(REPEATS)]
-    best_file = min(file_runs, key=lambda r: r["total_seconds"])
+    def total(run: dict) -> float:
+        return run["total_seconds"]
+
+    file_timing, file_runs = measure(from_file, REPEATS, seconds=total)
+    best_file = {**file_runs[0], "timing": file_timing}
     dataset = open_dataset(sqlite_path)  # resident from here on
 
     def from_memory() -> dict:
@@ -168,9 +180,8 @@ def bench_cold_start(sqlite_path: Path) -> dict:
             "results": results,
         }
 
-    best_memory = min(
-        (from_memory() for _ in range(REPEATS)), key=lambda r: r["total_seconds"]
-    )
+    memory_timing, memory_runs = measure(from_memory, REPEATS, seconds=total)
+    best_memory = {**memory_runs[0], "timing": memory_timing}
     identical = best_file["results"] == best_memory["results"]
     session = best_file.pop("session")
     best_file.pop("results")
@@ -331,84 +342,5 @@ def run_mode(quick: bool) -> dict:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def check_regression(baseline_path: Path, mode: str, result: dict) -> int:
-    """Fail on a collapsed sqlite/datagraph QPS ratio or pool hit rate.
-
-    Both pinned metrics are dimensionless, so the check is stable across
-    machines: the sqlite backend may not fall below half its committed
-    relative throughput, and the full-arena pool's hit rate may not drop
-    more than 0.15 absolute.
-    """
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    try:
-        committed = baseline["modes"][mode]
-        committed_ratio = committed["warm_qps"]["sqlite_vs_datagraph"]
-        committed_hit = committed["buffer_pool"]["pools"]["100%"]["hit_rate"]
-    except KeyError:
-        print(f"CHECK SKIPPED: no '{mode}' baseline in {baseline_path}")
-        return 0
-    ratio = result["warm_qps"]["sqlite_vs_datagraph"]
-    hit = result["buffer_pool"]["pools"]["100%"]["hit_rate"]
-    ratio_ok = ratio >= committed_ratio / 2.0
-    hit_ok = hit >= committed_hit - 0.15
-    print(
-        f"CHECK [{mode}]: sqlite/datagraph qps ratio {ratio:.4f} vs committed "
-        f"{committed_ratio:.4f} (floor {committed_ratio / 2.0:.4f}) -> "
-        f"{'OK' if ratio_ok else 'REGRESSION'}"
-    )
-    print(
-        f"CHECK [{mode}]: 100% pool hit rate {hit:.3f} vs committed "
-        f"{committed_hit:.3f} (floor {committed_hit - 0.15:.3f}) -> "
-        f"{'OK' if hit_ok else 'REGRESSION'}"
-    )
-    return 0 if (ratio_ok and hit_ok) else 1
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="small fixture (CI smoke mode)"
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=REPO_ROOT / "BENCH_storage.json",
-        help="JSON output path (merged per mode; default: repo-root "
-        "BENCH_storage.json)",
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        metavar="BASELINE",
-        help="compare against a committed baseline; exit 1 on a regression",
-    )
-    args = parser.parse_args(argv)
-
-    mode = "quick" if args.quick else "full"
-    print(f"===== bench_storage [{mode}] =====")
-    result = run_mode(args.quick)
-
-    payload: dict = {"schema_version": SCHEMA_VERSION, "modes": {}}
-    if args.out.exists():
-        try:
-            existing = json.loads(args.out.read_text(encoding="utf-8"))
-            if existing.get("schema_version") == SCHEMA_VERSION:
-                payload = existing
-        except json.JSONDecodeError:
-            pass
-    payload["modes"][mode] = result
-    args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
-
-    verified = result["verified"]
-    if not all(verified.values()):
-        print(f"FAIL: verification failed: {verified}")
-        return 1
-    if args.check is not None:
-        return check_regression(args.check, mode, result)
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(bench_main(__doc__, BASELINE, run_mode, GATES))

@@ -44,7 +44,7 @@ from repro.datagraph.graph import DataGraph
 from repro.db.database import Database
 from repro.db.query import QueryInterface
 from repro.errors import SummaryError
-from repro.live.locks import FrozenReadGuard
+from repro.live.locks import ReadWriteLock
 from repro.ranking.store import ImportanceStore, annotate_gds
 from repro.reliability.deadline import check_deadline
 from repro.schema_graph.gds import GDS
@@ -113,9 +113,9 @@ class SizeLEngine:
         # paged over mmap arenas (repro.storage); stats() surfaces its
         # hit/miss/eviction counters.
         self.buffer_pool = None
-        # Swapped for the live state's ReadWriteLock once the dataset
-        # accepts writes; frozen datasets keep the zero-cost null guard.
-        self.live_guard = FrozenReadGuard()
+        # Every read section runs under this lock, frozen dataset or not;
+        # the live state's commits take its write side.
+        self.live_guard = ReadWriteLock()
         self.query_interface = QueryInterface(db)
         # search_index lets a snapshot supply its prebuilt (memory-mapped)
         # inverted index instead of paying the tokenizing build scan here.

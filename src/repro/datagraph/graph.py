@@ -115,10 +115,6 @@ class DataGraph:
         """
         return sum(adj.nbytes for adj in self._adj.values())
 
-    def approx_size_bytes(self) -> int:
-        """Backwards-compatible alias for :meth:`size_bytes` (now exact)."""
-        return self.size_bytes()
-
     # ------------------------------------------------------------------ #
     # Children materialisation per G_DS join spec
     # ------------------------------------------------------------------ #

@@ -17,7 +17,7 @@ suite pins.
 from repro.live.delta_graph import LiveAdjacency, LiveDataGraph
 from repro.live.delta_index import LiveInvertedIndex, row_tokens
 from repro.live.dirty import dirty_subjects
-from repro.live.locks import FrozenReadGuard, NULL_GUARD, ReadWriteLock
+from repro.live.locks import ReadWriteLock
 from repro.live.state import APPLY_FAULT_SITE, LiveCommit, LiveState
 from repro.live.watch import MAX_NOTIFICATIONS, Watch, WatchRegistry
 
@@ -25,12 +25,10 @@ __all__ = [
     "APPLY_FAULT_SITE",
     "LiveAdjacency",
     "LiveCommit",
-    "FrozenReadGuard",
     "LiveDataGraph",
     "LiveInvertedIndex",
     "LiveState",
     "MAX_NOTIFICATIONS",
-    "NULL_GUARD",
     "ReadWriteLock",
     "Watch",
     "WatchRegistry",

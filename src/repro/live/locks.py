@@ -13,16 +13,9 @@ Both sides are re-entrant per thread (generation nests read sections;
 the writer re-enters reads while re-evaluating watches), so the lock
 tracks a per-thread read depth and lets the writing thread read freely.
 
-:class:`FrozenReadGuard` is the near-zero-cost stand-in installed while
-a dataset has no live state: engines always guard their read sections,
-but before any write is possible the guard only counts readers in and
-out.  The count is what makes *activation* safe — the first-ever
-mutation upgrades the guard to the real lock and then drains the
-readers that entered under the frozen one, closing the window where a
-query in flight across the upgrade could race the first commit.
-
-:data:`NULL_GUARD` remains the truly free no-op guard for contexts that
-can never upgrade (ad-hoc engines in tests and benchmarks).
+Every engine builds its lock at construction, so a dataset's first-ever
+commit waits for the reads already in flight exactly as every later one
+does.
 """
 
 from __future__ import annotations
@@ -31,87 +24,6 @@ import threading
 import time
 from contextlib import contextmanager
 from typing import Iterator
-
-
-class _NullGuard:
-    """No-op guard for frozen (never-mutated) datasets."""
-
-    @contextmanager
-    def read(self) -> Iterator[None]:
-        yield
-
-    @contextmanager
-    def write(self) -> Iterator[None]:
-        yield
-
-
-NULL_GUARD = _NullGuard()
-
-
-class FrozenReadGuard:
-    """Counting read guard for a not-yet-mutable engine.
-
-    Reads never block — they increment a counter on entry and decrement
-    on exit.  :meth:`upgrade` is called exactly once, by live-state
-    activation, *before* the first write: it redirects all future (and
-    in-progress re-entrant) readers to the real lock and then waits for
-    the counted pre-upgrade readers to drain.  Only after that drain can
-    the first commit take the write lock, so no reader ever straddles
-    the frozen/live boundary unguarded.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._count = 0
-        self._upgraded: "ReadWriteLock | None" = None
-        self._local = threading.local()
-
-    def _depth(self) -> int:
-        return getattr(self._local, "depth", 0)
-
-    @contextmanager
-    def read(self) -> Iterator[None]:
-        with self._cond:
-            upgraded = self._upgraded
-            if upgraded is None:
-                self._count += 1
-                self._local.depth = self._depth() + 1
-        if upgraded is not None:
-            # the engine froze over: this section runs under the real lock
-            with upgraded.read():
-                yield
-            return
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._count -= 1
-                self._local.depth -= 1
-                if self._count == 0:
-                    self._cond.notify_all()
-
-    @contextmanager
-    def write(self) -> Iterator[None]:
-        """Writes only exist after an upgrade; delegate when one happened."""
-        upgraded = self._upgraded
-        if upgraded is None:
-            raise RuntimeError(
-                "FrozenReadGuard cannot take writes before upgrade()"
-            )
-        with upgraded.write():
-            yield
-
-    def upgrade(self, lock: "ReadWriteLock") -> None:
-        """Install the real lock, then drain every pre-upgrade reader.
-
-        The activating thread's own re-entrant reads (if any) are
-        discounted — draining them would deadlock the activation that
-        sits inside them.
-        """
-        with self._cond:
-            self._upgraded = lock
-            while self._count - self._depth() > 0:
-                self._cond.wait()
 
 
 class ReadWriteLock:

@@ -3,10 +3,11 @@
 Activating live state on a :class:`~repro.session.Session` swaps the
 engine's frozen derived structures for their delta-overlaid counterparts
 (:class:`~repro.live.delta_graph.LiveDataGraph`,
-:class:`~repro.live.delta_index.LiveInvertedIndex`) and installs the
-session's :class:`~repro.live.locks.ReadWriteLock` as the engine's read
-guard.  From then on every committed transaction flows through
-:meth:`LiveState.apply` under the write lock:
+:class:`~repro.live.delta_index.LiveInvertedIndex`); the overlays start
+empty, so readers see the same answers across the swap.  From then on
+every committed transaction flows through :meth:`LiveState.apply` under
+the write side of the engine's :class:`~repro.live.locks.ReadWriteLock`,
+which waits out every read section already open:
 
 1. the ``live.apply`` fault site fires *before* any state changes, so an
    injected fault is a clean abort (503, nothing torn);
@@ -38,7 +39,6 @@ from repro.errors import BackendIOError
 from repro.live.delta_graph import LiveDataGraph
 from repro.live.delta_index import LiveInvertedIndex
 from repro.live.dirty import dirty_subjects
-from repro.live.locks import FrozenReadGuard, ReadWriteLock
 from repro.live.watch import Watch, WatchRegistry
 from repro.reliability import inject
 from repro.search.inverted_index import InvertedIndex
@@ -95,20 +95,13 @@ class LiveState:
         self.session = session
         self.engine = session.engine
         self.db = self.engine.db
-        self.lock = ReadWriteLock()
+        self.lock = self.engine.live_guard
         # force the lazy CSR build, then overlay it
         self.graph = LiveDataGraph(self.engine.data_graph, self.db)
         self.engine._data_graph = self.graph
         searcher = self.engine.searcher
         self.index = LiveInvertedIndex(searcher.index, searcher.rds_tables)
         searcher.index = self.index
-        # swap in the real lock, then drain readers that entered under
-        # the frozen guard — the first commit must not race a query that
-        # was already in flight when the dataset became mutable
-        frozen = self.engine.live_guard
-        self.engine.live_guard = self.lock
-        if isinstance(frozen, FrozenReadGuard):
-            frozen.upgrade(self.lock)
         self.watches = WatchRegistry()
         self.mutations_applied = 0
         self.compactions = 0

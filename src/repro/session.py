@@ -89,7 +89,7 @@ class Session:
         self._pool_workers = 0
         self._pool_lock = threading.Lock()
         # Live mutation state: created on first write / watch (lazily, so
-        # frozen read-only Sessions keep their zero-overhead null guard).
+        # read-only Sessions never build the delta overlays).
         self._live: "Any | None" = None
         self._live_lock = threading.Lock()
 
@@ -429,8 +429,8 @@ class Session:
         """The session's live mutation state, activating it on first use.
 
         Activation swaps the engine's derived structures for their
-        delta-overlaid counterparts and installs the read/write guard;
-        until then reads pay nothing for mutability they never use."""
+        delta-overlaid counterparts; commits then take the write side of
+        the engine's read/write lock (:meth:`guard`)."""
         if self._live is None:
             with self._live_lock:
                 if self._live is None:
@@ -442,12 +442,9 @@ class Session:
     def guard(self) -> "Any":
         """The read/write guard consistent reads must run under.
 
-        The live state's :class:`~repro.live.ReadWriteLock` once writes
-        are possible; before that, the engine's counting
-        :class:`~repro.live.FrozenReadGuard`, whose readers the first
-        mutation drains before committing."""
-        if self._live is not None:
-            return self._live.lock
+        The engine's :class:`~repro.live.ReadWriteLock`, frozen dataset
+        or not: a commit, the first one included, waits for every read
+        section already open."""
         return self.engine.live_guard
 
     @property

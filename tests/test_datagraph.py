@@ -28,7 +28,6 @@ class TestBuild:
             for adj in graph._adj.values()
         )
         assert graph.size_bytes() == expected > 0
-        assert graph.approx_size_bytes() == expected  # compat alias, now exact
 
     def test_csr_buckets_match_forward(self, dblp) -> None:
         graph = build_data_graph(dblp.db)

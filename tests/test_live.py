@@ -547,6 +547,38 @@ class TestClusterLive:
 # --------------------------------------------------------------------- #
 # Chaos: concurrent writers and readers, faults armed at live.apply
 # --------------------------------------------------------------------- #
+class TestReadGuard:
+    def test_first_commit_waits_for_an_open_read(self) -> None:
+        session = Session.from_dataset(small_dblp(seed=7))
+        reading = threading.Event()
+        release = threading.Event()
+
+        def reader() -> None:
+            with session.guard().read():
+                reading.set()
+                release.wait(timeout=10)
+
+        def writer() -> None:
+            session.apply_mutations([Update("author", 5, {"name": "Held Back Writer"})])
+
+        read_thread = threading.Thread(target=reader)
+        write_thread = threading.Thread(target=writer)
+        read_thread.start()
+        assert reading.wait(timeout=10)
+        write_thread.start()
+        try:
+            write_thread.join(timeout=0.3)
+            # the dataset's first-ever commit waits out the open read
+            assert write_thread.is_alive()
+            assert session.dataset_version == 0
+        finally:
+            release.set()
+            read_thread.join(timeout=10)
+            write_thread.join(timeout=10)
+        assert not read_thread.is_alive() and not write_thread.is_alive()
+        assert session.dataset_version == 1
+
+
 class TestChaosHammer:
     def test_no_torn_answers_under_seeded_faults(self) -> None:
         session = Session.from_dataset(small_dblp(seed=7))
