@@ -121,7 +121,6 @@ def build_reference(quick: bool) -> dict:
         "truth": truth,
         "query_truth": query_truth,
         "n_requests": n_requests,
-        "deployment": deployment,
         "dispatcher": dispatcher,
         "fixture": {
             "dataset": "dblp",
@@ -430,13 +429,10 @@ def run_mode(quick: bool) -> dict:
     spec = DatasetSpec(
         name="dblp", database="dblp", seed=SEED, scale=reference["scale"]
     )
-    try:
-        with Cluster([spec], SHARDS, cache_size=4096, startup_timeout=300) as cluster:
-            sweep = bench_fault_sweep(cluster, reference)
-            deadline = bench_deadline_504(cluster, reference, quick)
-            degraded = bench_degraded(cluster, reference, quick)
-    finally:
-        reference["deployment"].close()
+    with Cluster([spec], SHARDS, cache_size=4096, startup_timeout=300) as cluster:
+        sweep = bench_fault_sweep(cluster, reference)
+        deadline = bench_deadline_504(cluster, reference, quick)
+        degraded = bench_degraded(cluster, reference, quick)
     verified = {
         "baseline_all_ok": sweep["baseline"]["ok"] == sweep["baseline"]["requests"],
         "sweep_no_wrong_answers": all(p["wrong"] == 0 for p in sweep["points"]),

@@ -100,7 +100,6 @@ def build_reference(quick: bool) -> dict:
         )
         for subject in subjects
     }
-    session.close()
     return {
         "scale": scale,
         "subjects": subjects,
@@ -323,7 +322,6 @@ def bench_mmap_rss(reference: dict) -> dict:
     session = Session.from_named("dblp", seed=SEED, scale=reference["scale"])
     snapshot_dir = Path(tempfile.mkdtemp(prefix="bench-mmap-")) / "snapshot"
     precompute_snapshot(session.engine, reference["subjects"], snapshot_dir)
-    session.close()
     spec = DatasetSpec(
         name="dblp",
         database="dblp",

@@ -210,45 +210,42 @@ def run_mode(quick: bool) -> dict:
     session, fixture = build_session(quick)
     n_transactions = 80 if quick else 400
     watch_rounds = 20 if quick else 60
-    try:
-        print(
-            f"  dblp scale {fixture['scale']}: {fixture['authors']} authors, "
-            f"{fixture['papers']} papers; {n_transactions} transactions, "
-            f"{watch_rounds} watch rounds"
-        )
-        mutations = bench_mutations(session, n_transactions)
-        print(
-            f"  mutations: {mutations['tx_per_sec']:.0f} tx/s "
-            f"(p99 {mutations['p99_ms']:.2f} ms) with "
-            f"{mutations['reader_queries']} concurrent reads"
-        )
-        watch = bench_watch(session, watch_rounds)
-        print(
-            f"  watch: {watch['notified_rounds']}/{watch['rounds']} rounds "
-            f"notified, p99 {watch['p99_ms']:.2f} ms"
-        )
-        final_name = session.engine.db.table("author").row(0)
-        expected_version = (
-            mutations["transactions"] + watch["rounds"] + 1  # +1: restore rename
-        )
-        verified = {
-            "every_transaction_committed": (
-                mutations["versions_committed"] == mutations["transactions"]
-            ),
-            "version_monotonic_and_complete": (
-                session.dataset_version == expected_version
-            ),
-            "readers_ran_clean": (
-                not mutations["reader_errors"] and mutations["reader_queries"] > 0
-            ),
-            "watch_notified_every_round": (
-                watch["notified_rounds"] == watch["rounds"]
-            ),
-            "watch_flips_tracked_membership": watch["flips_correct"],
-            "final_state_restored": final_name is not None,
-        }
-    finally:
-        session.close()
+    print(
+        f"  dblp scale {fixture['scale']}: {fixture['authors']} authors, "
+        f"{fixture['papers']} papers; {n_transactions} transactions, "
+        f"{watch_rounds} watch rounds"
+    )
+    mutations = bench_mutations(session, n_transactions)
+    print(
+        f"  mutations: {mutations['tx_per_sec']:.0f} tx/s "
+        f"(p99 {mutations['p99_ms']:.2f} ms) with "
+        f"{mutations['reader_queries']} concurrent reads"
+    )
+    watch = bench_watch(session, watch_rounds)
+    print(
+        f"  watch: {watch['notified_rounds']}/{watch['rounds']} rounds "
+        f"notified, p99 {watch['p99_ms']:.2f} ms"
+    )
+    final_name = session.engine.db.table("author").row(0)
+    expected_version = (
+        mutations["transactions"] + watch["rounds"] + 1  # +1: restore rename
+    )
+    verified = {
+        "every_transaction_committed": (
+            mutations["versions_committed"] == mutations["transactions"]
+        ),
+        "version_monotonic_and_complete": (
+            session.dataset_version == expected_version
+        ),
+        "readers_ran_clean": (
+            not mutations["reader_errors"] and mutations["reader_queries"] > 0
+        ),
+        "watch_notified_every_round": (
+            watch["notified_rounds"] == watch["rounds"]
+        ),
+        "watch_flips_tracked_membership": watch["flips_correct"],
+        "final_state_restored": final_name is not None,
+    }
     return {
         "fixture": fixture,
         "mutations": {k: v for k, v in mutations.items() if k != "reader_errors"},

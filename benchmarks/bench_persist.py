@@ -183,9 +183,7 @@ def run_mode(quick: bool) -> dict:
         precompute_start = time.perf_counter()
         engine = EngineBuilder.from_dataset(dataset).build()
         hot_subjects = select_subjects(engine, table="author")
-        report = precompute_snapshot(
-            engine, hot_subjects, snapshot_path, workers=4
-        )
+        report = precompute_snapshot(engine, hot_subjects, snapshot_path)
         precompute_seconds = time.perf_counter() - precompute_start
 
         full = _fastest_cold_start(dataset, hot_subjects, None)

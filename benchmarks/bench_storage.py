@@ -250,7 +250,7 @@ def bench_buffer_pool(
     subjects = select_subjects(
         engine, top_keywords=40 if quick else 150
     )
-    precompute_snapshot(engine, subjects, snapshot_dir, workers=4)
+    precompute_snapshot(engine, subjects, snapshot_dir)
 
     arena = _arena_bytes(resident_session)
     expected = _results(resident_session)

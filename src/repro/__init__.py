@@ -16,8 +16,8 @@ The library implements the paper's complete stack from scratch:
 * an offline-precompute + mmap snapshot persistence tier
   (:mod:`repro.persist`), and
 * a service layer — typed wire protocol, multi-dataset
-  :class:`~repro.service.Deployment` registry, :class:`AsyncSession`, and
-  the ``repro serve`` HTTP front end (:mod:`repro.service`).
+  :class:`~repro.service.Deployment` registry, and the ``repro serve``
+  HTTP front end (:mod:`repro.service`).
 
 Quickstart::
 
@@ -41,7 +41,6 @@ from repro.core import (
     KeywordResult,
     ObjectSummary,
     OSNode,
-    ParallelConfig,
     QueryOptions,
     ResultStats,
     SizeLEngine,
@@ -61,7 +60,7 @@ from repro.core import (
     top_path_size_l,
 )
 from repro.session import Session
-from repro.service import AsyncSession, Deployment
+from repro.service import Deployment
 from repro.persist import (
     Snapshot,
     precompute_snapshot,
@@ -93,13 +92,11 @@ __all__ = [
     "SizeLEngine",
     "SizeLResult",
     "Session",
-    "AsyncSession",
     "Deployment",
     "SummaryCache",
     "CacheStats",
     "KeywordResult",
     "EngineBuilder",
-    "ParallelConfig",
     "QueryOptions",
     "ResultStats",
     "Algorithm",

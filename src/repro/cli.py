@@ -5,7 +5,6 @@ Usage (after ``pip install -e .``)::
     python -m repro query --database dblp --keywords Faloutsos --l 15
     python -m repro query --database tpch --keywords "Supplier#000001" --l 10
     python -m repro query --database dblp --keywords Faloutsos --backend database
-    python -m repro query --database dblp --keywords Faloutsos --workers 4
     python -m repro precompute --database dblp --out snap.d --table author
     python -m repro query --database dblp --keywords Faloutsos \\
         --source complete --snapshot snap.d
@@ -57,7 +56,7 @@ from typing import Sequence
 
 from repro.core.analysis import nesting_profile, optimal_family, stability_profile
 from repro.core.builder import NAMED_DATASETS, EngineBuilder
-from repro.core.options import ParallelConfig, QueryOptions
+from repro.core.options import QueryOptions
 from repro.core.registry import algorithm_names, backend_names
 from repro.errors import ReproError, ServiceError
 from repro.session import Session
@@ -120,7 +119,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         source=args.source,
         backend=args.backend,
         max_results=args.max_results,
-        parallel=ParallelConfig(workers=args.workers, ordered=not args.unordered),
     ).normalized()
     session = _load_session(args)
     rank = 0
@@ -233,8 +231,6 @@ def _serve_cluster(args: argparse.Namespace) -> int:
         [spec],
         args.shards,
         cache_size=args.cache_size,
-        workers=args.workers,
-        ordered=not args.unordered,
         access_log=hop_log,
     )
     cluster.start()
@@ -272,9 +268,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     The dataset (and optional snapshot) resolve through the exact same
     :func:`_load_session` path as ``query`` — no serve-only dataset-flag
     drift — then get registered as one :class:`~repro.service.Deployment`
-    entry named after the database.  ``--workers``/``--unordered`` become
-    the Session's default :class:`ParallelConfig`, so every served query
-    fans out accordingly unless its request overrides them.
+    entry named after the database.
 
     ``--shards N`` (N > 1) swaps the in-process dispatcher for the
     :mod:`repro.cluster` worker pool: N subprocesses each build (or
@@ -294,9 +288,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     name = _dataset_label(args)
     session = _load_session(args, cache_size=args.cache_size)
-    session.parallel = ParallelConfig(
-        workers=args.workers, ordered=not args.unordered
-    ).normalized()
     deployment = Deployment().add_session(name, session)
     try:
         server = create_server(
@@ -308,7 +299,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     except ServiceError as exc:  # bad middleware config (e.g. token file)
         print(f"error: {exc}", file=sys.stderr)
-        deployment.close()
         return EXIT_ERROR
     except OSError as exc:
         # busy port, privileged port, unresolvable host: a usage error
@@ -320,7 +310,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _serve_loop(server, args, f"serving {name} on {server.url}")
     finally:
         server.server_close()
-        deployment.close()
 
 
 def _cmd_precompute(args: argparse.Namespace) -> int:
@@ -337,7 +326,6 @@ def _cmd_precompute(args: argparse.Namespace) -> int:
         session.engine,
         subjects,
         args.out,
-        workers=args.workers,
         overwrite=args.overwrite,
     )
     print(
@@ -345,8 +333,7 @@ def _cmd_precompute(args: argparse.Namespace) -> int:
         f"  subjects: {report.subjects}\n"
         f"  tree nodes: {report.tree_nodes}\n"
         f"  size: {report.size_bytes / 1024:.1f} KiB\n"
-        f"  precompute time: {report.seconds:.2f}s "
-        f"(workers={args.workers})"
+        f"  precompute time: {report.seconds:.2f}s"
     )
     return EXIT_OK
 
@@ -453,19 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("--max-results", type=int, default=3)
     query.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="thread-pool size for the per-subject size-l pipelines "
-        "(1 = serial)",
-    )
-    query.add_argument(
-        "--unordered",
-        action="store_true",
-        help="with --workers > 1, print each result as it completes "
-        "instead of preserving the match ranking",
-    )
-    query.add_argument(
         "--snapshot",
         default=None,
         metavar="DIR",
@@ -509,12 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="precompute the K subjects the most frequent keywords resolve to",
     )
     precompute.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel OS generations (ParallelConfig fan-out; 1 = serial)",
-    )
-    precompute.add_argument(
         "--overwrite",
         action="store_true",
         help="replace an existing snapshot at --out",
@@ -532,17 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8077,
         help="TCP port (0 binds an ephemeral port, printed at startup)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="default per-query fan-out of the served Session (1 = serial)",
-    )
-    serve.add_argument(
-        "--unordered",
-        action="store_true",
-        help="with --workers > 1, served queries default to completion order",
     )
     serve.add_argument(
         "--shards",

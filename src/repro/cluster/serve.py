@@ -40,8 +40,6 @@ class Cluster:
         shards: int,
         *,
         cache_size: int = 64,
-        workers: int = 1,
-        ordered: bool = True,
         request_timeout: float = 30.0,
         startup_timeout: float = 120.0,
         health_interval: float = 0.5,
@@ -64,8 +62,6 @@ class Cluster:
                 datasets=self.datasets,
                 ready_file="",  # the supervisor assigns a per-generation file
                 cache_size=cache_size,
-                workers=workers,
-                ordered=ordered,
                 # workers append hop lines (stamped with their shard) to the
                 # same file the edge logs to; "" keeps hop logging off
                 access_log=access_log,

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.core.options import ParallelConfig
 from repro.errors import ClusterError
 from repro.cluster.transport import TransportError, recv_frame, send_frame
 from repro.reliability import inject, install_from_env
@@ -95,8 +94,6 @@ class WorkerSpec:
     host: str = "127.0.0.1"
     port: int = 0
     cache_size: int = 64
-    workers: int = 1
-    ordered: bool = True
     #: append-target for per-hop access-log lines ("" disables; a shared
     #: file is safe — lines are written atomically and stamped ``shard``)
     access_log: str = ""
@@ -111,8 +108,6 @@ class WorkerSpec:
             "host": self.host,
             "port": self.port,
             "cache_size": self.cache_size,
-            "workers": self.workers,
-            "ordered": self.ordered,
             "access_log": self.access_log,
             "extra": self.extra,
         }
@@ -131,8 +126,6 @@ class WorkerSpec:
                 host=payload.get("host", "127.0.0.1"),
                 port=payload.get("port", 0),
                 cache_size=payload.get("cache_size", 64),
-                workers=payload.get("workers", 1),
-                ordered=payload.get("ordered", True),
                 access_log=payload.get("access_log", ""),
                 extra=payload.get("extra", {}),
             )
@@ -157,7 +150,6 @@ def build_deployment(spec: WorkerSpec) -> Deployment:
             snapshot=entry.snapshot,
             verify=entry.verify,
             cache_size=spec.cache_size,
-            parallel=ParallelConfig(workers=spec.workers, ordered=spec.ordered),
         )
         deployment.session(entry.name)
     return deployment
@@ -326,7 +318,6 @@ def run_worker(spec: WorkerSpec) -> int:
         server.serve_forever(poll_interval=0.1)
     finally:
         server.server_close()  # joins connection threads (block_on_close)
-        deployment.close()
     return 0
 
 

@@ -57,7 +57,6 @@ from repro.core.registry import (
 from repro.core.options import (
     Algorithm,
     Backend,
-    ParallelConfig,
     QueryOptions,
     ResultStats,
     Source,
@@ -105,7 +104,6 @@ __all__ = [
     "Algorithm",
     "Backend",
     "Source",
-    "ParallelConfig",
     "QueryOptions",
     "ResultStats",
     "resolve_options",

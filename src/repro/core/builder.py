@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.engine import SizeLEngine
-from repro.core.options import ParallelConfig, QueryOptions
+from repro.core.options import QueryOptions
 from repro.datagraph.graph import DataGraph
 from repro.db.database import Database
 from repro.errors import SummaryError
@@ -77,11 +77,10 @@ class EngineBuilder:
         self._theta: float = 0.7
         self._data_graph: DataGraph | None = None
         self._snapshot: "Snapshot | None" = None
-        #: session-level presets (see with_defaults / with_parallel /
-        #: with_cache_size) so a Deployment entry can be described fully
-        #: by one configured builder
+        #: session-level presets (see with_defaults / with_cache_size) so
+        #: a Deployment entry can be described fully by one configured
+        #: builder
         self._defaults: QueryOptions | None = None
-        self._parallel: ParallelConfig | None = None
         self._cache_size: int = 64
         #: buffer-pool sizing (see with_buffer_pool); None = fully resident
         self._pool_bytes: int | None = None
@@ -134,11 +133,6 @@ class EngineBuilder:
     def with_defaults(self, defaults: QueryOptions) -> "EngineBuilder":
         """Seed every query of a built Session with these options."""
         self._defaults = defaults.normalized()
-        return self
-
-    def with_parallel(self, parallel: ParallelConfig) -> "EngineBuilder":
-        """Seed a built Session's fan-out policy."""
-        self._parallel = parallel.normalized()
         return self
 
     def with_cache_size(self, cache_size: int) -> "EngineBuilder":
@@ -285,12 +279,11 @@ class EngineBuilder:
         *,
         cache_size: int | None = None,
         defaults: QueryOptions | None = None,
-        parallel: ParallelConfig | None = None,
     ) -> "Any":
         """Build the engine wrapped in a :class:`~repro.session.Session`.
 
         Explicit kwargs override the builder's ``with_defaults`` /
-        ``with_parallel`` / ``with_cache_size`` presets.  An attached
+        ``with_cache_size`` presets.  An attached
         snapshot carries through: the Session's cache serves precomputed
         complete OSs from the snapshot's tree arena.  The snapshot is
         validated once in :meth:`build` and once more when the cache
@@ -303,6 +296,5 @@ class EngineBuilder:
             self.build(),
             cache_size=self._cache_size if cache_size is None else cache_size,
             defaults=defaults if defaults is not None else self._defaults,
-            parallel=parallel if parallel is not None else self._parallel,
             snapshot=self._snapshot,
         )

@@ -19,8 +19,8 @@ still removes almost all repeated work in interactive exploration
   mid-session; :meth:`invalidate` supports explicit refresh after loads.
 
 The cache is **thread-safe** and is the concurrency point of the serving
-layer (:meth:`~repro.session.Session.iter_keyword_query` with
-``workers=N`` fans queries out over it):
+layer (concurrent requests, each running serially on its own thread,
+meet here):
 
 * one lock-protected, subject-level LRU book holds a subject's complete
   OS and memoised results together, so eviction is atomic — a subject's
@@ -31,7 +31,11 @@ layer (:meth:`~repro.session.Session.iter_keyword_query` with
   thundering herd of identical queries from melting the backend;
 * cache hits return a **per-call** result whose stats are a copy with
   ``cached=True`` — the memoised object (and the first caller's
-  miss-result) keeps ``cached=False`` forever.
+  miss-result) keeps ``cached=False`` forever;
+* every lookup runs inside a read of the engine's
+  :class:`~repro.live.ReadWriteLock`, taken *before* the flight is
+  joined: a flight leader then never waits behind a commit while a
+  reader that a commit waits for waits on the leader.
 
 The cache is also where the **disk tier** plugs in
 (:meth:`SummaryCache.attach_snapshot`): on a memory miss for a complete
@@ -427,9 +431,10 @@ class SummaryCache:
         # snapshot tree its knob explicitly opted out of.  The two
         # flavours may briefly duplicate work for one subject; each still
         # deduplicates within itself.
-        tree, _from_cache = self._single_flight(
-            (subject, "flat", snapshot), lookup, compute, insert
-        )
+        with self.engine.live_guard.read():
+            tree, _from_cache = self._single_flight(
+                (subject, "flat", snapshot), lookup, compute, insert
+            )
         return tree
 
     # ------------------------------------------------------------------ #
@@ -476,10 +481,11 @@ class SummaryCache:
         # (not the memo key — results are node-identical either way): a
         # snapshot=False caller must lead its own live-backend pipeline,
         # never wait out a leader computing from the disk tree.
-        result, from_cache = self._single_flight(
-            (subject, "result", result_key, options.snapshot),
-            lookup, compute, insert,
-        )
+        with self.engine.live_guard.read():
+            result, from_cache = self._single_flight(
+                (subject, "result", result_key, options.snapshot),
+                lookup, compute, insert,
+            )
         return _per_call(result) if from_cache else result
 
     def _compute(

@@ -157,8 +157,8 @@ class SizeLEngine:
     @property
     def data_graph(self) -> DataGraph:
         if self._data_graph is None:
-            # Double-checked: concurrent Session workers must not each pay
-            # (or race) the one-off CSR build.
+            # Double-checked: concurrent requests must not each pay (or
+            # race) the one-off CSR build.
             with self._data_graph_lock:
                 if self._data_graph is None:
                     self._data_graph = build_data_graph(self.db)
@@ -348,11 +348,11 @@ class SizeLEngine:
     def search_matches(
         self, keywords: list[str] | str, options: QueryOptions
     ) -> list[DataSubjectMatch]:
-        """The ranked t_DS matches a keyword query fans out over.
+        """The ranked t_DS matches of a keyword query.
 
         Applies ``options.max_results`` truncation; this is the shared
-        front half of the keyword pipeline — the serial loop below and the
-        Session's parallel fan-out both start from it.
+        front half of the keyword pipeline — the keyword loop below and
+        the service dispatcher's paged query both start from it.
         """
         check_deadline()
         with self.live_guard.read():

@@ -95,46 +95,6 @@ def _normalize_backend(value: object) -> Backend | str:
 
 
 @dataclass(frozen=True)
-class ParallelConfig:
-    """How a :class:`~repro.session.Session` fans a query out over threads.
-
-    ``workers`` is the thread-pool size for per-subject size-l pipelines
-    (``1`` means serial, no pool).  ``ordered=True`` preserves the match
-    ranking (global t_DS importance) in the output stream; ``ordered=False``
-    yields each result the moment its OS is ready, which minimises
-    time-to-first-result under mixed subject sizes.
-
-    Execution knobs only: two queries differing solely in their
-    ``ParallelConfig`` are the *same* query, so this is deliberately not
-    part of :meth:`QueryOptions.cache_key`.
-    """
-
-    workers: int = 1
-    ordered: bool = True
-
-    def normalized(self) -> "ParallelConfig":
-        """Validate both knobs; idempotent."""
-        if (
-            not isinstance(self.workers, int)
-            or isinstance(self.workers, bool)
-            or self.workers < 1
-        ):
-            raise SummaryError(
-                f"workers must be a positive integer, got {self.workers!r}"
-            )
-        if not isinstance(self.ordered, bool):
-            raise SummaryError(f"ordered must be a bool, got {self.ordered!r}")
-        return self
-
-    def replace(self, **changes: Any) -> "ParallelConfig":
-        return dataclasses.replace(self, **changes)
-
-    def as_dict(self) -> dict[str, Any]:
-        """The wire-level shape (see :mod:`repro.service.protocol`)."""
-        return {"workers": self.workers, "ordered": self.ordered}
-
-
-@dataclass(frozen=True)
 class QueryOptions:
     """All knobs of a size-l query, validated in one place.
 
@@ -154,14 +114,9 @@ class QueryOptions:
     #: ``False`` forces a cache **miss** to regenerate from the live
     #: backend instead of loading the snapshot tree (a tree already in
     #: the memory cache is still served).  Snapshot-loaded trees are
-    #: validated node-for-node identical to fresh ones, so — like
-    #: ``parallel`` — this is an execution knob and deliberately not part
-    #: of :meth:`cache_key`.
+    #: validated node-for-node identical to fresh ones, so this is an
+    #: execution knob and deliberately not part of :meth:`cache_key`.
     snapshot: bool = True
-    #: How a Session fans the per-subject work of this query out over
-    #: threads; ``None`` inherits the Session's default.  Not part of the
-    #: cache key (an execution knob, not a query knob).
-    parallel: ParallelConfig | None = None
 
     def normalized(self) -> "QueryOptions":
         """Validate every field and coerce strings to enums where built-in.
@@ -194,13 +149,6 @@ class QueryOptions:
             )
         if not isinstance(self.snapshot, bool):
             raise SummaryError(f"snapshot must be a bool, got {self.snapshot!r}")
-        if self.parallel is not None:
-            if not isinstance(self.parallel, ParallelConfig):
-                raise SummaryError(
-                    f"parallel must be a ParallelConfig or None, "
-                    f"got {self.parallel!r}"
-                )
-            self.parallel.normalized()
         return dataclasses.replace(
             self, algorithm=algorithm, source=source, backend=backend
         )
@@ -230,7 +178,7 @@ class QueryOptions:
 
         The service codec (:mod:`repro.service.protocol`) round-trips this
         through :func:`~repro.service.protocol.decode_options`; enums
-        flatten to their registry names, ``parallel`` to its own dict.
+        flatten to their registry names.
         """
         return {
             "l": self.l,
@@ -240,7 +188,6 @@ class QueryOptions:
             "max_results": self.max_results,
             "depth_limit": self.depth_limit,
             "snapshot": self.snapshot,
-            "parallel": None if self.parallel is None else self.parallel.as_dict(),
         }
 
     def cache_key(self) -> tuple[int, str, str, str, int | None]:

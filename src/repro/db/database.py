@@ -103,8 +103,8 @@ class Database:
         key = (table_name, column)
         index = self._indexes.get(key)
         if index is None:
-            # Double-checked: concurrent Session workers must not each pay
-            # (or race) the O(n) index build on a cold column.
+            # Double-checked: concurrent requests must not each pay (or
+            # race) the O(n) index build on a cold column.
             with self._index_lock:
                 index = self._indexes.get(key)
                 if index is None:

@@ -12,6 +12,8 @@ and no reader ever observes a half-applied commit.  That is exactly the
 Both sides are re-entrant per thread (generation nests read sections;
 the writer re-enters reads while re-evaluating watches), so the lock
 tracks a per-thread read depth and lets the writing thread read freely.
+Writers have strict preference: once a writer waits, no fresh reader
+enters until it has committed.
 
 Every engine builds its lock at construction, so a dataset's first-ever
 commit waits for the reads already in flight exactly as every later one
@@ -21,7 +23,6 @@ does.
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -29,17 +30,12 @@ from typing import Iterator
 class ReadWriteLock:
     """Re-entrant many-readers / one-writer lock.
 
-    Readers are admitted whenever no writer holds the lock (a thread that
-    already holds a read — or the write — is admitted unconditionally, so
-    nesting can never deadlock against a waiting writer).  A writer waits
-    for exclusivity: no other writer, then no remaining readers.
+    A fresh reader is admitted only while no writer holds or waits for
+    the lock (a thread that already holds a read — or the write — is
+    admitted unconditionally, so nesting can never deadlock against a
+    waiting writer).  A writer waits for exclusivity: no other writer,
+    then no remaining readers.
     """
-
-    #: how long a fresh reader defers to a waiting writer (seconds) —
-    #: bounded, so a read taken on behalf of a request that already
-    #: holds one can never deadlock, but wide enough that sustained
-    #: read load cannot starve the write path
-    WRITER_GRACE = 0.05
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
@@ -65,16 +61,7 @@ class ReadWriteLock:
                 self._local.depth -= 1
             return
         with self._cond:
-            if self._write_waiters and self._writer is None:
-                # a writer is draining: pause (bounded) so the reader
-                # count can reach zero and the writer can claim
-                deadline = time.monotonic() + self.WRITER_GRACE
-                while self._write_waiters and self._writer is None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-            while self._writer is not None:
+            while self._writer is not None or self._write_waiters:
                 self._cond.wait()
             self._readers += 1
         self._local.depth = 1
@@ -91,17 +78,16 @@ class ReadWriteLock:
     def write(self) -> Iterator[None]:
         """Exclusive section; claimed only once every reader has drained.
 
-        Deliberately *not* writer-priority: a request may fan work out to
-        pool threads that take their own read sections while the request's
-        thread already holds one — a writer that blocked new readers while
-        draining would deadlock against that. Claim-after-drain admits
-        readers until the writer actually holds the lock, trading
-        potential writer delay under sustained read load for
-        deadlock-freedom across cooperating threads.  The bounded
-        :data:`WRITER_GRACE` pause fresh readers take while a writer
-        drains is what keeps that delay finite: sustained read traffic
-        defers just long enough for the count to reach zero, but a
-        cooperating thread is never blocked indefinitely.
+        Strict writer preference: from the moment a writer waits, fresh
+        readers on other threads wait until it has committed, so
+        sustained read load cannot starve the write path.  Only a thread
+        that already holds a read re-enters while the writer waits.  A
+        reader must therefore never wait for another thread that has
+        yet to take its first read: that thread would queue behind the
+        writer, which queues behind the reader.  The one such wait is a
+        :class:`~repro.core.cache.SummaryCache` single-flight, and the
+        cache takes its read before joining a flight, so every flight
+        leader already holds one.
         """
         me = threading.get_ident()
         with self._cond:

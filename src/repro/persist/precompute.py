@@ -1,11 +1,8 @@
 """The offline OS precompute pipeline (``repro precompute``).
 
 Selects Data Subjects, generates their complete columnar OSs through the
-engine's flat hot path, and writes a :mod:`repro.persist.snapshot`
-directory.  ``workers`` is validated through the serving layer's
-:class:`~repro.core.options.ParallelConfig` and executed as a bounded
-thread-pool fan-out: at most ``workers`` generations in flight, results
-kept in subject order.
+engine's flat hot path, one subject after another (precompute runs
+offline), and writes a :mod:`repro.persist.snapshot` directory.
 
 Subject selection supports the three production shapes:
 
@@ -18,13 +15,11 @@ Subject selection supports the three production shapes:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.options import ParallelConfig
 from repro.errors import PersistError
 from repro.persist.snapshot import (
     Snapshot,
@@ -118,7 +113,6 @@ def precompute_snapshot(
     subjects: Sequence[tuple[str, int]],
     out_path: str | Path,
     *,
-    workers: int = 1,
     overwrite: bool = False,
 ) -> PrecomputeReport:
     """Generate complete FlatOS trees for *subjects* and snapshot them.
@@ -128,8 +122,8 @@ def precompute_snapshot(
     field exists for a future depth-limited precompute, and the cache
     disk tier refuses to serve snapshots that restrict it).
 
-    ``workers`` is validated and executed through the serving layer's
-    :class:`ParallelConfig` and a bounded thread pool.  The write is
+    The trees are generated straight from the engine, not through a
+    cache, so precompute never holds every tree twice.  The write is
     atomic (temp dir + rename); an existing snapshot is only replaced
     with ``overwrite=True``.
 
@@ -145,22 +139,8 @@ def precompute_snapshot(
     # generation run, not after paying for every tree.
     ensure_absent_or_overwrite(Path(out_path), overwrite)
     ensure_snapshotable_index(engine.searcher.index)
-    config = ParallelConfig(workers=workers).normalized()
     start = perf_counter()
-    if config.workers == 1 or len(subjects) == 1:
-        trees = [
-            engine.complete_os_flat(table, row_id) for table, row_id in subjects
-        ]
-    else:
-        # Bounded fan-out straight at the engine's generator — no cache
-        # (precompute must not hold every tree twice), at most
-        # ``config.workers`` generations running at once.
-        with ThreadPoolExecutor(
-            max_workers=config.workers, thread_name_prefix="repro-precompute"
-        ) as pool:
-            trees = list(
-                pool.map(lambda subject: engine.complete_os_flat(*subject), subjects)
-            )
+    trees = [engine.complete_os_flat(table, row_id) for table, row_id in subjects]
     path = write_snapshot(out_path, engine, list(subjects), trees, overwrite=overwrite)
     snapshot = Snapshot.open(path, verify=False)
     return PrecomputeReport(

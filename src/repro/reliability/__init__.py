@@ -21,7 +21,6 @@ from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.deadline import (
     CHECK_MASK,
     Deadline,
-    bind_deadline,
     check_deadline,
     current_deadline,
     deadline_scope,
@@ -47,7 +46,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "active",
-    "bind_deadline",
     "check_deadline",
     "current_deadline",
     "deadline_scope",

@@ -9,12 +9,9 @@ which is a cheap no-op when no deadline is active and raises the pinned
 :class:`~repro.errors.DeadlineExceededError` (HTTP 504) once the budget
 is gone.
 
-Thread-locality is deliberate: a :class:`~repro.session.Session` fans
-work out over a long-lived ``ThreadPoolExecutor`` whose threads outlive
-any single request, so ``contextvars`` inheritance (captured at thread
-*creation*) would be wrong.  Instead ``Session._submit`` captures the
-submitting thread's deadline explicitly and re-installs it around each
-pooled task.
+The scope is thread-local: every :class:`~repro.session.Session` call
+runs serially on the request's own thread, so the scope the dispatcher
+installs covers all the work below it.
 
 Checkpoint placement is coarse by design — every ~256 iterations of an
 outer per-node loop, every generation level, every counted IO — so an
@@ -103,16 +100,3 @@ def check_deadline() -> None:
     deadline = getattr(_local, "deadline", None)
     if deadline is not None and time.monotonic() >= deadline.expires_at:
         raise DeadlineExceededError(deadline.budget_ms)
-
-
-def bind_deadline(fn, deadline: "Deadline | None"):
-    """*fn* wrapped to run under *deadline* — the helper thread-pool
-    submitters use to carry the caller's budget across the pool boundary."""
-    if deadline is None:
-        return fn
-
-    def bound(*args, **kwargs):
-        with deadline_scope(deadline):
-            return fn(*args, **kwargs)
-
-    return bound

@@ -14,8 +14,6 @@ dataset.  This package turns that into a *service*:
   one process, with independent invalidation and hot snapshot reload;
 * :mod:`repro.service.dispatch` — the transport-agnostic request
   dispatcher the HTTP front end, the CLI, and the benchmarks share;
-* :mod:`repro.service.asession` — :class:`AsyncSession`, asyncio wrappers
-  over the Session's thread-pool fan-out (``await`` / ``async for``);
 * :mod:`repro.service.http` — a stdlib-only ``ThreadingHTTPServer`` front
   end (``repro serve``) exposing ``/v1/query``, ``/v1/size-l``,
   ``/v1/batch``, ``/v1/datasets``, ``/v1/stats``, ``/v1/metrics``, and
@@ -29,7 +27,6 @@ Every future scaling PR (sharding, replicas, rate limiting) plugs into
 this layer rather than into Session internals.
 """
 
-from repro.service.asession import AsyncSession
 from repro.service.deployment import Deployment
 from repro.service.dispatch import ServiceDispatcher
 from repro.service.http import create_server, serve
@@ -57,7 +54,6 @@ from repro.service.protocol import (
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "AsyncSession",
     "BatchRequest",
     "BatchResponse",
     "Cursor",

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core.builder import EngineBuilder
-from repro.core.options import ParallelConfig, QueryOptions
+from repro.core.options import QueryOptions
 from repro.errors import ServiceError, UnknownDatasetError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -95,7 +95,6 @@ class Deployment:
         verify: bool = True,
         cache_size: int | None = None,
         defaults: QueryOptions | None = None,
-        parallel: ParallelConfig | None = None,
     ) -> "Deployment":
         """Register a dataset recipe under *name* (fluent; lazy build).
 
@@ -130,8 +129,6 @@ class Deployment:
             builder.with_cache_size(cache_size)
         if defaults is not None:
             builder.with_defaults(defaults)
-        if parallel is not None:
-            builder.with_parallel(parallel)
         snapshot_path = None if snapshot is None else Path(snapshot)
         return self._register(
             _Entry(
@@ -165,13 +162,10 @@ class Deployment:
         )
 
     def remove(self, name: str) -> None:
-        """Drop an entry, closing its Session if it was ever built."""
-        entry = self._entry(name)
+        """Drop an entry; an unknown name raises UnknownDatasetError."""
         with self._lock:
-            self._entries.pop(name, None)
-        with entry.lock:
-            if entry.session is not None:
-                entry.session.close()
+            if self._entries.pop(name, None) is None:
+                raise UnknownDatasetError(name, list(self._entries))
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -298,20 +292,3 @@ class Deployment:
         info = session.describe()
         info["dataset"] = name
         return info
-
-    def close(self) -> None:
-        """Close every built Session (idempotent; entries stay registered)."""
-        for name in self.names():
-            with self._lock:
-                entry = self._entries.get(name)
-            if entry is None:
-                continue
-            with entry.lock:
-                if entry.session is not None:
-                    entry.session.close()
-
-    def __enter__(self) -> "Deployment":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

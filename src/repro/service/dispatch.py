@@ -155,21 +155,23 @@ class ServiceDispatcher:
 
         The access-log ``cache_hit`` flag means "the cache computed
         nothing new for this request" — observable as an unchanged
-        ``result_computations`` counter.  Outside a middleware pipeline
-        (no installed context) the snapshot is skipped entirely, so the
-        typed layer's behavior and cost are unchanged for embedders.
+        ``result_computations`` counter, read directly: a full
+        :meth:`~repro.core.cache.SummaryCache.stats` snapshot costs time
+        linear in the cached subjects, and the body's ``cache`` field
+        takes the request's one snapshot.  Outside a middleware pipeline
+        (no installed context) the read is skipped entirely, so the typed
+        layer's behavior and cost are unchanged for embedders.
         """
         if current_context() is None:
             return None
-        return session.cache.stats().result_computations
+        return session.cache.result_computations
 
     def _note_cache_hit(self, session: Any, before: "int | None") -> None:
         if before is None:
             return
         ctx = current_context()
         if ctx is not None:
-            after = session.cache.stats().result_computations
-            ctx.note("cache_hit", after == before)
+            ctx.note("cache_hit", session.cache.result_computations == before)
 
     def query(self, request: QueryRequest) -> QueryResponse:
         """One page of a keyword query (the whole query without a cursor).

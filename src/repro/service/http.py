@@ -1,7 +1,7 @@
 """The stdlib-only HTTP front end (``repro serve``).
 
-A ``ThreadingHTTPServer`` (one thread per connection — the per-request
-work then fans out over each Session's own pool) serving the
+A ``ThreadingHTTPServer`` (one thread per connection, each request
+running serially on its connection's thread) serving the
 :class:`~repro.service.dispatch.ServiceDispatcher` endpoint table:
 
 =========================  ======  =====================================

@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.options import ParallelConfig, QueryOptions, ResultStats
+from repro.core.options import QueryOptions, ResultStats
 from repro.errors import RequestValidationError, SummaryError
 from repro.reliability.deadline import Deadline
 
@@ -37,11 +37,8 @@ PROTOCOL_VERSION = 1
 
 #: Hard caps on wire-controlled resource knobs.  In-process callers can
 #: configure whatever their process tolerates; a *request* must not be
-#: able to inflate the serving Session's thread pool (the pool grows to
-#: the largest workers= ever seen and never shrinks), fan out an
-#: unbounded batch, or size a DP table (O(|OS| * l) cells) to exhaust a
-#: worker's memory.
-MAX_WIRE_WORKERS = 64
+#: able to send an unbounded batch or size a DP table (O(|OS| * l)
+#: cells) to exhaust a worker's memory.
 MAX_WIRE_L = 1_000
 MAX_BATCH_SUBJECTS = 10_000
 MAX_MUTATE_OPERATIONS = 1_000
@@ -107,7 +104,6 @@ _OPTION_FIELDS = (
     "max_results",
     "depth_limit",
     "snapshot",
-    "parallel",
 )
 
 
@@ -126,25 +122,12 @@ def decode_options(payload: object, *, defaults: QueryOptions | None = None) -> 
     payload = _require_mapping(payload, "options")
     _reject_unknown(payload, _OPTION_FIELDS, "options")
     changes: dict[str, Any] = {
-        key: payload[key] for key in _OPTION_FIELDS[:-1] if key in payload
+        key: payload[key] for key in _OPTION_FIELDS if key in payload
     }
     size = payload.get("l")
     if isinstance(size, int) and size > MAX_WIRE_L:
         raise RequestValidationError(
             f"options.l {size} exceeds the wire limit of {MAX_WIRE_L}"
-        )
-    if "parallel" in payload and payload["parallel"] is not None:
-        parallel = _require_mapping(payload["parallel"], "options.parallel")
-        _reject_unknown(parallel, ("workers", "ordered"), "options.parallel")
-        workers = parallel.get("workers", 1)
-        if isinstance(workers, int) and workers > MAX_WIRE_WORKERS:
-            raise RequestValidationError(
-                f"options.parallel.workers {workers} exceeds the wire "
-                f"limit of {MAX_WIRE_WORKERS}"
-            )
-        changes["parallel"] = ParallelConfig(
-            workers=workers,
-            ordered=parallel.get("ordered", True),
         )
     try:
         return base.replace(**changes).normalized()

@@ -48,7 +48,7 @@ def dblp_snapshot(dblp_engine: SizeLEngine, tmp_path_factory):
 
     path = tmp_path_factory.mktemp("persist") / "dblp-snapshot"
     subjects = select_subjects(dblp_engine, table="author")
-    precompute_snapshot(dblp_engine, subjects, path, workers=2)
+    precompute_snapshot(dblp_engine, subjects, path)
     return Snapshot.open(path)
 
 

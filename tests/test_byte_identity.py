@@ -82,13 +82,10 @@ def snapshot_path(tmp_path_factory):
     from repro.persist import precompute_snapshot, select_subjects
 
     scratch = Deployment().add("dblp", named="dblp", seed=SEED, scale=SCALE)
-    try:
-        engine = scratch.session("dblp").engine
-        subjects = list(select_subjects(engine, table="author"))[:2]
-        path = tmp_path_factory.mktemp("snap") / "dblp-snapshot"
-        precompute_snapshot(engine, subjects, path)
-    finally:
-        scratch.close()
+    engine = scratch.session("dblp").engine
+    subjects = list(select_subjects(engine, table="author"))[:2]
+    path = tmp_path_factory.mktemp("snap") / "dblp-snapshot"
+    precompute_snapshot(engine, subjects, path)
     return path
 
 
@@ -102,8 +99,7 @@ def single(snapshot_path):
         cache_size=64,
         snapshot=snapshot_path,
     )
-    yield ServiceDispatcher(deployment)
-    deployment.close()
+    return ServiceDispatcher(deployment)
 
 
 @pytest.fixture(scope="module")
@@ -239,17 +235,21 @@ class TestPinnedBodies:
         replies = both(single_http, cluster_http, "/v1/query", {"dataset": "dblp"})
         assert_identical(*replies, 400)
         assert json.loads(replies[0][2])["error"]["type"] == "RequestValidationError"
-        # an options field the protocol does not define
-        payload = {
-            "dataset": "dblp",
-            "keywords": KEYWORDS,
-            "options": {**OPTIONS, "source": "complete", "flat": False},
-        }
-        replies = both(single_http, cluster_http, "/v1/query", payload)
-        assert_identical(*replies, 400)
-        error = json.loads(replies[0][2])["error"]
-        assert error["type"] == "RequestValidationError"
-        assert "unknown field" in error["message"] and "flat" in error["message"]
+        # options fields the protocol does not define
+        for field, extra in (
+            ("flat", {"source": "complete", "flat": False}),
+            ("parallel", {"parallel": {"workers": 4, "ordered": False}}),
+        ):
+            payload = {
+                "dataset": "dblp",
+                "keywords": KEYWORDS,
+                "options": {**OPTIONS, **extra},
+            }
+            replies = both(single_http, cluster_http, "/v1/query", payload)
+            assert_identical(*replies, 400)
+            error = json.loads(replies[0][2])["error"]
+            assert error["type"] == "RequestValidationError"
+            assert "unknown field" in error["message"] and field in error["message"]
         # an l above the wire cap, on the endpoint that runs DP unbounded
         payload = {
             "dataset": "dblp",

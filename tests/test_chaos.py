@@ -68,8 +68,7 @@ def reference():
     deployment = Deployment().add(
         "dblp", named="dblp", seed=SEED, scale=SCALE, cache_size=64
     )
-    yield ServiceDispatcher(deployment)
-    deployment.close()
+    return ServiceDispatcher(deployment)
 
 
 @pytest.fixture(scope="module")

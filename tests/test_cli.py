@@ -111,6 +111,24 @@ class TestExitCodes:
             main(["query"])  # --keywords is required
         assert excinfo.value.code == EXIT_ERROR
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--keywords", "Faloutsos", "--workers", "2"],
+            ["query", "--keywords", "Faloutsos", "--unordered"],
+            ["precompute", "--out", "unused.d", "--table", "author", "--workers", "2"],
+            ["serve", "--workers", "2"],
+            ["serve", "--unordered"],
+        ],
+    )
+    def test_removed_fanout_flags_are_usage_errors(self, argv, capsys) -> None:
+        """Every command runs serially: --workers and --unordered are
+        unknown flags that exit 2 before any dataset is built."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_ERROR
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestPrecomputeCLI:
     def test_precompute_then_query_snapshot_round_trip(
@@ -123,7 +141,6 @@ class TestPrecomputeCLI:
                 "precompute",
                 "--out", str(snap),
                 "--table", "author",
-                "--workers", "2",
             ]
         )
         out = capsys.readouterr().out
@@ -228,22 +245,15 @@ class TestServeCLI:
     """The serve subcommand: pinned flags, shared loader, exit codes."""
 
     def test_serve_flags_pinned(self) -> None:
-        """serve shares the dataset parent parser (no flag drift) and the
-        query command's --workers/--unordered knobs."""
+        """serve shares the dataset parent parser (no flag drift)."""
         args = build_parser().parse_args(["serve"])
         assert args.database == "dblp"  # the shared dataset parent
         assert args.port == 8077
-        assert args.workers == 1
-        assert args.unordered is False
         assert args.snapshot is None
         args = build_parser().parse_args(
-            [
-                "serve", "--database", "tpch", "--port", "0",
-                "--workers", "4", "--unordered", "--snapshot", "s.d",
-            ]
+            ["serve", "--database", "tpch", "--port", "0", "--snapshot", "s.d"]
         )
-        assert (args.database, args.port, args.workers) == ("tpch", 0, 4)
-        assert args.unordered is True and args.snapshot == "s.d"
+        assert (args.database, args.port, args.snapshot) == ("tpch", 0, "s.d")
 
     def test_serve_bad_snapshot_is_exit_two(self, tmp_path, capsys) -> None:
         """The shared _load_session loader rejects before binding a port."""
@@ -307,7 +317,7 @@ class TestServeCLI:
                 main(
                     [
                         "--scale", "0.2",
-                        "serve", "--port", "0", "--workers", "2",
+                        "serve", "--port", "0",
                         "--serve-seconds", "2",
                         "--ready-file", str(ready),
                     ]

@@ -18,6 +18,7 @@ Four tiers, mirroring the write path's layering:
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -326,10 +327,7 @@ def dispatcher():
 
     deployment = Deployment()
     deployment.add("dblp", named="dblp", seed=7, scale=0.5)
-    try:
-        yield ServiceDispatcher(deployment)
-    finally:
-        deployment.close()
+    return ServiceDispatcher(deployment)
 
 
 class TestWatchEndpoints:
@@ -476,10 +474,7 @@ class TestClusterLive:
 
         deployment = Deployment()
         deployment.add("dblp", named="dblp", seed=7, scale=0.5)
-        try:
-            yield ServiceDispatcher(deployment)
-        finally:
-            deployment.close()
+        return ServiceDispatcher(deployment)
 
     def test_mutated_cluster_equals_mutated_single_process(
         self, cluster, reference
@@ -576,6 +571,135 @@ class TestReadGuard:
             read_thread.join(timeout=10)
             write_thread.join(timeout=10)
         assert not read_thread.is_alive() and not write_thread.is_alive()
+        assert session.dataset_version == 1
+
+    @staticmethod
+    def _until(predicate, timeout: float = 10.0) -> bool:
+        deadline = time.monotonic() + timeout
+        while not predicate():
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.001)
+        return True
+
+    @staticmethod
+    def _writer(session: Session, name: str) -> threading.Thread:
+        return threading.Thread(
+            target=session.apply_mutations,
+            args=([Update("author", 5, {"name": name})],),
+            daemon=True,
+        )
+
+    def test_fresh_read_waits_behind_a_waiting_writer(self) -> None:
+        """Strict writer preference: once a writer waits, a fresh reader on
+        another thread waits until the commit lands, however long."""
+        session = Session.from_dataset(small_dblp(seed=7))
+        lock = session.guard()
+        holding, release = threading.Event(), threading.Event()
+        entered: list[int] = []
+
+        def holder() -> None:
+            with lock.read():
+                holding.set()
+                release.wait(timeout=10)
+
+        def fresh_reader() -> None:
+            with lock.read():
+                entered.append(session.dataset_version)
+
+        hold_thread = threading.Thread(target=holder, daemon=True)
+        write_thread = self._writer(session, "Strict Writer")
+        read_thread = threading.Thread(target=fresh_reader, daemon=True)
+        hold_thread.start()
+        assert holding.wait(timeout=10)
+        write_thread.start()
+        try:
+            assert self._until(lambda: lock._write_waiters == 1)
+            read_thread.start()
+            read_thread.join(timeout=0.3)
+            assert read_thread.is_alive() and entered == []
+            assert session.dataset_version == 0
+        finally:
+            release.set()
+            for thread in (hold_thread, write_thread, read_thread):
+                thread.join(timeout=10)
+        assert not any(
+            t.is_alive() for t in (hold_thread, write_thread, read_thread)
+        )
+        assert entered == [1]  # admitted only after the commit
+
+    def test_held_read_reenters_while_writer_waits(self) -> None:
+        session = Session.from_dataset(small_dblp(seed=7))
+        lock = session.guard()
+        holding, writer_waiting = threading.Event(), threading.Event()
+        seen: list[int] = []
+
+        def holder() -> None:
+            with lock.read():
+                holding.set()
+                writer_waiting.wait(timeout=10)
+                with lock.read():  # nested: admitted despite the writer
+                    seen.append(session.size_l("author", 0, l=5).size)
+                    seen.append(session.dataset_version)
+
+        hold_thread = threading.Thread(target=holder, daemon=True)
+        write_thread = self._writer(session, "Patient Writer")
+        hold_thread.start()
+        assert holding.wait(timeout=10)
+        write_thread.start()
+        assert self._until(lambda: lock._write_waiters == 1)
+        writer_waiting.set()
+        hold_thread.join(timeout=10)
+        write_thread.join(timeout=10)
+        assert not hold_thread.is_alive() and not write_thread.is_alive()
+        assert seen == [5, 0]
+        assert session.dataset_version == 1
+
+    def test_flight_leader_never_queues_behind_a_writer(self) -> None:
+        """An in-process size_l leads a flight; a dispatcher-style caller
+        holding a read waits on that flight; a writer waits for that read.
+        The leader took its read before leading, so its own generation
+        re-enters and all three finish."""
+        session = Session.from_dataset(small_dblp(seed=7))
+        lock = session.guard()
+        engine_run = session.engine.run
+        leading, go = threading.Event(), threading.Event()
+        holding, released = threading.Event(), threading.Event()
+
+        def gated_run(rds_table, row_id, options):
+            leading.set()
+            go.wait(timeout=10)
+            return engine_run(rds_table, row_id, options)
+
+        session.engine.run = gated_run  # type: ignore[method-assign]
+
+        def leader() -> None:
+            session.size_l("author", 0, l=5)
+
+        def dispatcher() -> None:
+            with lock.read():
+                holding.set()
+                leading.wait(timeout=10)
+                session.size_l("author", 0, l=5)
+            released.set()
+
+        threads = [
+            threading.Thread(target=dispatcher, daemon=True),
+            threading.Thread(target=leader, daemon=True),
+            self._writer(session, "Third Thread"),
+        ]
+        threads[0].start()
+        assert holding.wait(timeout=10)
+        threads[1].start()
+        assert leading.wait(timeout=10)
+        threads[2].start()
+        assert self._until(lambda: lock._write_waiters == 1)
+        assert self._until(lambda: session.cache.single_flight_waits == 1)
+        go.set()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in threads)
+        assert released.is_set()
         assert session.dataset_version == 1
 
 

@@ -18,7 +18,7 @@ import urllib.request
 
 import pytest
 
-from repro.core.cache import CacheStats
+from repro.core.cache import CacheStats, SummaryCache
 from repro.errors import (
     AuthenticationError,
     RateLimitedError,
@@ -401,14 +401,11 @@ class TestDispatcherHooks:
     def test_cache_stats_by_dataset_is_non_building(self, dblp) -> None:
         deployment = Deployment().add("dblp", dataset=dblp)
         dispatcher = ServiceDispatcher(deployment)
-        try:
-            assert dispatcher.cache_stats_by_dataset() == {}  # nothing built
-            deployment.session("dblp")
-            stats = dispatcher.cache_stats_by_dataset()
-            assert set(stats) == {"dblp"}
-            assert isinstance(stats["dblp"], CacheStats)
-        finally:
-            deployment.close()
+        assert dispatcher.cache_stats_by_dataset() == {}  # nothing built
+        deployment.session("dblp")
+        stats = dispatcher.cache_stats_by_dataset()
+        assert set(stats) == {"dblp"}
+        assert isinstance(stats["dblp"], CacheStats)
 
 
 # --------------------------------------------------------------------- #
@@ -416,9 +413,7 @@ class TestDispatcherHooks:
 # --------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def module_deployment(dblp):
-    deployment = Deployment().add("dblp", dataset=dblp)
-    yield deployment
-    deployment.close()
+    return Deployment().add("dblp", dataset=dblp)
 
 
 def _spawn(server):
@@ -598,6 +593,22 @@ class TestArmedServing:
         status, _, _ = call(server, "/v1/size-l", body, headers=AUTH)
         assert status == 200
         assert last_log_line(stream)["cache_hit"] is True
+
+    def test_one_cache_stats_snapshot_per_request(self, armed, monkeypatch) -> None:
+        """The cache-hit note reads the computation counter directly, so
+        the body's ``cache`` field is the request's only stats() call."""
+        server, _ = armed
+        calls: list[SummaryCache] = []
+        stats = SummaryCache.stats
+
+        def counting_stats(cache: SummaryCache) -> CacheStats:
+            calls.append(cache)
+            return stats(cache)
+
+        monkeypatch.setattr(SummaryCache, "stats", counting_stats)
+        status, _, _ = call(server, "/v1/query", QUERY, headers=AUTH)
+        assert status == 200
+        assert len(calls) == 1
 
     def test_health_and_metrics_skip_auth(self, armed) -> None:
         server, _ = armed

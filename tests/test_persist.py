@@ -439,25 +439,6 @@ class TestSelectSubjects:
 # Precompute pipeline
 # --------------------------------------------------------------------- #
 class TestPrecompute:
-    def test_parallel_equals_serial(self, dblp_engine, tmp_path) -> None:
-        subjects = [("author", row) for row in range(6)]
-        serial = precompute_snapshot(
-            dblp_engine, subjects, tmp_path / "serial", workers=1
-        )
-        parallel = precompute_snapshot(
-            dblp_engine, subjects, tmp_path / "parallel", workers=4
-        )
-        assert serial.subjects == parallel.subjects == 6
-        a = Snapshot.open(tmp_path / "serial")
-        b = Snapshot.open(tmp_path / "parallel")
-        assert a.manifest["tree_nodes"] == b.manifest["tree_nodes"]
-        gds = dblp_engine.gds_for("author")
-        for table, row in subjects:
-            ta = a.load_flat(table, row, gds)
-            tb = b.load_flat(table, row, gds)
-            for field in FlatOS.ARENA_FIELDS:
-                assert np.array_equal(getattr(ta, field), getattr(tb, field))
-
     def test_empty_subjects_rejected(self, dblp_engine, tmp_path) -> None:
         with pytest.raises(PersistError, match="no subjects"):
             precompute_snapshot(dblp_engine, [], tmp_path / "snap")
@@ -476,12 +457,6 @@ class TestPrecompute:
         monkeypatch.setattr(dblp_engine, "complete_os_flat", exploding)
         with pytest.raises(SnapshotFormatError, match="already exists"):
             precompute_snapshot(dblp_engine, [("author", 0)], target)
-
-    def test_bad_workers_rejected(self, dblp_engine, tmp_path) -> None:
-        with pytest.raises(SummaryError, match="workers must be"):
-            precompute_snapshot(
-                dblp_engine, [("author", 0)], tmp_path / "snap", workers=0
-            )
 
 
 # --------------------------------------------------------------------- #

@@ -53,7 +53,7 @@ def author_and_paper_snapshot(dblp_engine, tmp_path_factory):
         {(table, row) for table, row, _ls in _draw_cases(dblp_engine)}
     )
     path = tmp_path_factory.mktemp("roundtrip") / "snap"
-    precompute_snapshot(dblp_engine, subjects, path, workers=2)
+    precompute_snapshot(dblp_engine, subjects, path)
     return Snapshot.open(path)
 
 

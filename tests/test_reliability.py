@@ -7,7 +7,6 @@ Everything here runs in-process (no worker subprocesses — those live in
 
 from __future__ import annotations
 
-import threading
 import time
 
 import pytest
@@ -31,7 +30,6 @@ from repro.reliability import (
     FaultPlan,
     FaultRule,
     active,
-    bind_deadline,
     check_deadline,
     current_deadline,
     deadline_scope,
@@ -213,18 +211,6 @@ class TestDeadline:
         with deadline_scope(deadline):
             with pytest.raises(DeadlineExceededError):
                 check_deadline()
-
-    def test_bind_deadline_carries_across_threads(self) -> None:
-        """The Session pool idiom: the submitting thread's deadline must be
-        visible inside the pooled task's thread."""
-        deadline = Deadline(60_000)
-        seen: list[Deadline | None] = []
-        bound = bind_deadline(lambda: seen.append(current_deadline()), deadline)
-        thread = threading.Thread(target=bound)
-        thread.start()
-        thread.join()
-        assert seen == [deadline]
-        assert bind_deadline(check_deadline, None) is check_deadline
 
 
 # --------------------------------------------------------------------- #
@@ -416,8 +402,7 @@ def dispatcher():
     deployment = Deployment().add(
         "dblp", named="dblp", seed=SEED, scale=SCALE, cache_size=64
     )
-    yield ServiceDispatcher(deployment)
-    deployment.close()
+    return ServiceDispatcher(deployment)
 
 
 class TestDispatcherReliability:

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.core.options import ParallelConfig, QueryOptions
+from repro.core.options import QueryOptions
 from repro.errors import (
     ServiceError,
     SnapshotMismatchError,
@@ -66,12 +66,10 @@ class TestRegistry:
             dataset=dblp,
             cache_size=7,
             defaults=QueryOptions(l=19),
-            parallel=ParallelConfig(workers=3, ordered=False),
         )
         session = deployment.session("dblp")
         assert session.cache.max_subjects == 7
         assert session.defaults.l == 19
-        assert session.parallel == ParallelConfig(workers=3, ordered=False)
 
     def test_membership_and_iteration(self, dblp, tpch) -> None:
         deployment = Deployment().add("dblp", dataset=dblp).add("tpch", dataset=tpch)
@@ -225,17 +223,3 @@ class TestReload:
         assert session.cache.snapshot is None
         results = session.keyword_query("Supplier#000001", options=QueryOptions(l=5))
         assert results
-
-
-class TestLifecycle:
-    def test_close_is_idempotent_and_keeps_entries(self, dblp) -> None:
-        deployment = Deployment().add("dblp", dataset=dblp)
-        deployment.session("dblp")
-        deployment.close()
-        deployment.close()
-        assert "dblp" in deployment  # recipe survives; session still usable
-        assert deployment.session("dblp").size_l("author", 0, 4).size == 4
-
-    def test_context_manager(self, dblp) -> None:
-        with Deployment().add("dblp", dataset=dblp) as deployment:
-            deployment.session("dblp")

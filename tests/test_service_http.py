@@ -42,7 +42,6 @@ def served(dblp, tpch, dblp_snapshot):
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
-    deployment.close()
 
 
 def call(server, path: str, body: dict | None = None, method: str | None = None):
@@ -414,7 +413,6 @@ class TestHealthz:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
-            deployment.close()
 
     def test_healthz_is_get_only(self, served) -> None:
         server, _deployment = served

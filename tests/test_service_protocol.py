@@ -1,7 +1,7 @@
 """Tests for the wire protocol: codec round-trips and strict validation.
 
 The property tests pin the codec identity ``decode(encode(x)) == x`` over
-randomized options (including ``snapshot=False`` and ``ParallelConfig``),
+randomized options (including ``snapshot=False``),
 cursors, requests, and responses; the validation tests pin that unknown,
 missing, and ill-typed fields produce the 400-style
 :class:`RequestValidationError` — never a silent partial decode.
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.options import ParallelConfig, QueryOptions
+from repro.core.options import QueryOptions
 from repro.errors import RequestValidationError
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -37,15 +37,6 @@ from repro.service.protocol import (
 # --------------------------------------------------------------------- #
 # Strategies
 # --------------------------------------------------------------------- #
-parallel_configs = st.one_of(
-    st.none(),
-    st.builds(
-        ParallelConfig,
-        workers=st.integers(min_value=1, max_value=8),
-        ordered=st.booleans(),
-    ),
-)
-
 query_options = st.builds(
     QueryOptions,
     l=st.integers(min_value=1, max_value=50),
@@ -55,7 +46,6 @@ query_options = st.builds(
     max_results=st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
     depth_limit=st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
     snapshot=st.booleans(),
-    parallel=parallel_configs,
 )
 
 cursors = st.builds(
@@ -214,8 +204,12 @@ class TestValidation:
             decode_options({"source": "complete", "flat": False})
 
     def test_unknown_parallel_field_rejected(self) -> None:
-        with pytest.raises(RequestValidationError, match="options.parallel"):
-            decode_options({"parallel": {"workers": 2, "threads": 4}})
+        # requests run serially: there is no "parallel" option to set
+        for parallel in ({"workers": 2, "threads": 4}, {"workers": 1}, None):
+            with pytest.raises(
+                RequestValidationError, match=r"unknown field\(s\) \['parallel'\]"
+            ):
+                decode_options({"parallel": parallel})
 
     def test_library_validation_maps_to_request_error(self) -> None:
         # invalid l and unknown algorithm both surface as the 400 error,
@@ -226,13 +220,12 @@ class TestValidation:
             decode_options({"algorithm": "magic"})
 
     def test_wire_worker_cap_enforced(self) -> None:
-        """A request must not be able to inflate the serving thread pool."""
-        from repro.service.protocol import MAX_WIRE_WORKERS
-
-        decoded = decode_options({"parallel": {"workers": MAX_WIRE_WORKERS}})
-        assert decoded.parallel.workers == MAX_WIRE_WORKERS
-        with pytest.raises(RequestValidationError, match="wire limit"):
-            decode_options({"parallel": {"workers": MAX_WIRE_WORKERS + 1}})
+        """A request cannot ask for threads at all: ``parallel`` is an
+        unknown field at any worker count."""
+        for workers in (64, 65):
+            with pytest.raises(RequestValidationError, match="unknown field") as err:
+                decode_options({"l": 5, "parallel": {"workers": workers}})
+            assert "parallel" in str(err.value)
 
     def test_wire_l_cap_enforced(self) -> None:
         """A request must not be able to size a DP table past the cap."""

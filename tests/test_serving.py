@@ -2,9 +2,7 @@
 
 Covers the thread-safety guarantees of :class:`SummaryCache` (single
 lock-protected subject book, single-flight generation, atomic eviction
-under racing threads) and the :class:`Session` fan-out
-(``iter_keyword_query(workers=N)``, ``size_l_many(workers=N)``,
-``ParallelConfig`` resolution, the CLI ``--workers`` flag).
+under racing threads, the snapshot disk tier under concurrency).
 
 The hammer tests use a barrier plus an artificially slowed generation
 step so every thread is genuinely in flight at once — without the delay a
@@ -14,7 +12,6 @@ single-flight path would never be exercised.
 
 from __future__ import annotations
 
-import itertools
 import random
 import threading
 import time
@@ -23,9 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.cache import SummaryCache
-from repro.core.options import ParallelConfig, QueryOptions, Source
-from repro.errors import SummaryError
-from repro.session import Session
+from repro.core.options import QueryOptions, Source
 
 
 def _slow(monkeypatch, engine, method: str, delay: float = 0.002):
@@ -258,182 +253,6 @@ class TestHammer:
         assert cache.cached_results <= 2 * 1  # one memo key per subject
 
 
-class TestParallelKeywordQuery:
-    def test_workers_yield_same_results_as_serial(self, dblp_engine) -> None:
-        session = Session(dblp_engine)
-        serial = session.keyword_query("Faloutsos", l=7)
-        parallel = session.keyword_query("Faloutsos", l=7, workers=4)
-        assert [e.match.row_id for e in parallel] == [e.match.row_id for e in serial]
-        assert [e.result.selected_uids for e in parallel] == [
-            e.result.selected_uids for e in serial
-        ]
-
-    def test_unordered_yields_same_result_set(self, dblp_engine) -> None:
-        session = Session(dblp_engine)
-        serial = session.keyword_query("Faloutsos", l=7)
-        unordered = session.keyword_query(
-            "Faloutsos", l=7, workers=4, ordered=False
-        )
-        assert {e.match.row_id for e in unordered} == {
-            e.match.row_id for e in serial
-        }
-        by_row = {e.match.row_id: e.result.selected_uids for e in serial}
-        for entry in unordered:
-            assert entry.result.selected_uids == by_row[entry.match.row_id]
-
-    def test_parallel_stream_is_a_lazy_iterator(self, dblp_engine) -> None:
-        session = Session(dblp_engine)
-        stream = session.iter_keyword_query("Faloutsos", l=5, workers=4)
-        first = next(stream)
-        assert first.result.size == 5
-        stream.close()  # abandoning the stream must not hang the pool
-
-    def test_parallel_options_validated_eagerly(self, dblp_engine) -> None:
-        session = Session(dblp_engine)
-        with pytest.raises(SummaryError, match="unknown algorithm"):
-            session.iter_keyword_query(
-                "Faloutsos", options=QueryOptions(algorithm="magic"), workers=4
-            )
-        with pytest.raises(SummaryError, match="workers must be"):
-            session.iter_keyword_query("Faloutsos", workers=0)
-
-    def test_size_l_many_parallel_preserves_input_order(self, dblp_engine) -> None:
-        session = Session(dblp_engine)
-        subjects = [("author", 2), ("author", 0), ("author", 1), ("author", 0)]
-        serial = session.size_l_many(subjects, l=5)
-        parallel = Session(dblp_engine).size_l_many(subjects, l=5, workers=4)
-        assert [r.selected_uids for r in parallel] == [
-            r.selected_uids for r in serial
-        ]
-
-    def test_session_pool_is_reused_across_queries(self, dblp_engine) -> None:
-        session = Session(dblp_engine)
-        session.keyword_query("Faloutsos", l=5, workers=4)
-        pool = session._pool
-        assert pool is not None
-        session.keyword_query("Faloutsos", l=6, workers=2)
-        assert session._pool is pool  # no per-query spawn/teardown
-        session.keyword_query("Faloutsos", l=7, workers=8)
-        assert session._pool is not pool  # grown for the larger fan-out
-
-    def test_concurrent_queries_survive_pool_growth(self, dblp_engine) -> None:
-        """One client growing the pool must not break another client's
-        in-flight submissions (the swap retires the old executor)."""
-        session = Session(dblp_engine)
-        barrier = threading.Barrier(6)
-
-        def client(workers: int) -> int:
-            barrier.wait()
-            return len(session.keyword_query("Faloutsos", l=5, workers=workers))
-
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            counts = [
-                f.result()
-                for f in [
-                    pool.submit(client, workers)
-                    for workers in (2, 8, 3, 6, 2, 8)
-                ]
-            ]
-        assert counts == [3] * 6
-
-    def test_workers_still_throttle_after_pool_growth(
-        self, dblp_engine, monkeypatch
-    ) -> None:
-        """workers= is a per-call concurrency contract: a workers=2 call
-        must not run 8-wide just because an earlier call grew the pool."""
-        session = Session(dblp_engine)
-        session.keyword_query("Faloutsos", l=5, workers=8)  # grow the pool
-        active = 0
-        peak = 0
-        gauge = threading.Lock()
-        original = session.cache.run
-
-        def tracking(rds_table, row_id, opts):
-            nonlocal active, peak
-            with gauge:
-                active += 1
-                peak = max(peak, active)
-            try:
-                time.sleep(0.003)
-                return original(rds_table, row_id, opts)
-            finally:
-                with gauge:
-                    active -= 1
-
-        monkeypatch.setattr(session.cache, "run", tracking)
-        session.size_l_many([("author", i) for i in range(8)], l=4, workers=2)
-        assert peak <= 2
-        peak = 0
-        list(session.iter_keyword_query("Faloutsos", l=6, workers=2))
-        assert peak <= 2
-
-    def test_window_refills_behind_a_slow_head(
-        self, dblp_engine, monkeypatch
-    ) -> None:
-        """The window refills on ANY completion: one slow head-of-line
-        subject must not reduce the call to serial execution."""
-        session = Session(dblp_engine)
-        original = session.cache.run
-        start_times: dict[int, float] = {}
-        slow_done_at = [float("inf")]
-        record = threading.Lock()
-
-        def tracking(rds_table, row_id, opts):
-            with record:
-                start_times[row_id] = time.perf_counter()
-            result = original(rds_table, row_id, opts)
-            if row_id == 0:
-                time.sleep(0.05)
-                slow_done_at[0] = time.perf_counter()
-            return result
-
-        monkeypatch.setattr(session.cache, "run", tracking)
-        subjects = [("author", row) for row in range(6)]  # 0 is the slow head
-        results = session.size_l_many(subjects, l=4, workers=2)
-        assert len(results) == 6
-        # every later subject started while the slow head was still running
-        assert all(
-            start_times[row] < slow_done_at[0] for row in range(1, 6)
-        ), (start_times, slow_done_at)
-
-    def test_session_close_is_idempotent_and_recoverable(self, dblp_engine) -> None:
-        with Session(dblp_engine) as session:
-            assert session.keyword_query("Faloutsos", l=5, workers=4)
-        assert session._pool is None
-        session.close()  # idempotent
-        # a closed Session grows a fresh pool on the next parallel call
-        assert len(session.keyword_query("Faloutsos", l=6, workers=4)) == 3
-
-    def test_parallel_config_resolution_order(self, dblp_engine) -> None:
-        session = Session(dblp_engine, parallel=ParallelConfig(workers=2))
-        assert session.parallel.workers == 2
-        opts = QueryOptions(parallel=ParallelConfig(workers=3, ordered=False))
-        resolved = session._parallel_config(opts.normalized(), None, None)
-        assert resolved.workers == 3 and resolved.ordered is False
-        resolved = session._parallel_config(opts.normalized(), 5, True)
-        assert resolved.workers == 5 and resolved.ordered is True
-        assert session.describe()["parallel"] == {"workers": 2, "ordered": True}
-
-
-class TestParallelConfigValidation:
-    def test_bad_workers(self) -> None:
-        for bad in (0, -1, 1.5, True, "four"):
-            with pytest.raises(SummaryError, match="workers must be"):
-                ParallelConfig(workers=bad).normalized()  # type: ignore[arg-type]
-
-    def test_bad_ordered(self) -> None:
-        with pytest.raises(SummaryError, match="ordered must be"):
-            ParallelConfig(ordered=1).normalized()  # type: ignore[arg-type]
-
-    def test_bad_parallel_on_options(self) -> None:
-        with pytest.raises(SummaryError, match="parallel must be"):
-            QueryOptions(parallel="four").normalized()  # type: ignore[arg-type]
-
-    def test_default_is_serial_ordered(self) -> None:
-        config = ParallelConfig().normalized()
-        assert config.workers == 1 and config.ordered is True
-
-
 class TestDiskTierConcurrency:
     """The snapshot (disk) tier under the same hammer patterns as memory.
 
@@ -638,56 +457,6 @@ class TestDiskTierConcurrency:
             assert len(set(outcomes[row])) == 1
 
 
-class TestCLIWorkers:
-    def test_query_with_workers_flag(self, capsys) -> None:
-        from repro.cli import main
-
-        code = main(
-            [
-                "query",
-                "--keywords",
-                "Faloutsos",
-                "--l",
-                "5",
-                "--workers",
-                "4",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert out.count("--- result") == 3
-
-    def test_query_unordered_same_result_set(self, capsys) -> None:
-        from repro.cli import main
-
-        assert main(["query", "--keywords", "Faloutsos", "--l", "5"]) == 0
-        serial = capsys.readouterr().out
-        assert (
-            main(
-                [
-                    "query",
-                    "--keywords",
-                    "Faloutsos",
-                    "--l",
-                    "5",
-                    "--workers",
-                    "4",
-                    "--unordered",
-                ]
-            )
-            == 0
-        )
-        unordered = capsys.readouterr().out
-        assert unordered.count("--- result") == serial.count("--- result")
-
-    def test_bad_workers_value_is_a_usage_error(self, capsys) -> None:
-        from repro.cli import main
-
-        code = main(["query", "--keywords", "x", "--workers", "0"])
-        assert code == 2
-        assert "workers must be" in capsys.readouterr().err
-
-
 class TestCacheStatsType:
     """The typed CacheStats record: attributes, as_dict, derived rates."""
 
@@ -722,104 +491,3 @@ class TestCacheStatsType:
         stats = cache.stats()
         assert stats.requests == 2
         assert stats.hit_rate == pytest.approx(0.5)
-
-
-class TestCloseLifecycle:
-    """Session.close(): idempotent, and in-flight fan-outs drain."""
-
-    def test_double_close_is_noop(self, dblp_engine) -> None:
-        session = Session(dblp_engine)
-        session.size_l_many([("author", 0), ("author", 1)], 5, workers=2)
-        session.close()
-        assert session._pool is None
-        session.close()  # second close: no pool, no error
-        assert session._pool is None
-
-    def test_close_without_ever_using_the_pool(self, dblp_engine) -> None:
-        session = Session(dblp_engine)
-        session.close()
-        session.close()
-
-    def test_close_while_fanout_in_flight_drains(
-        self, dblp_engine, monkeypatch
-    ) -> None:
-        """A barrier holds two generations mid-flight while another thread
-        closes the Session: every result must still arrive (no
-        'cannot schedule new futures after shutdown'), and the second
-        close must be a no-op."""
-        in_flight = threading.Barrier(3, timeout=10)  # 2 workers + closer
-        original = dblp_engine.complete_os_flat
-        call_count = itertools.count()
-
-        def gated(rds_table, row_id, *args, **kwargs):
-            # exactly the first two generations hold the barrier (counter,
-            # not a flag: a worker looping around before the closer flips
-            # a flag would re-enter the auto-resetting barrier and strand)
-            if next(call_count) < 2:
-                in_flight.wait()
-            return original(rds_table, row_id, *args, **kwargs)
-
-        monkeypatch.setattr(dblp_engine, "complete_os_flat", gated)
-        session = Session(dblp_engine)
-        subjects = [("author", row) for row in range(6)]
-        options = QueryOptions(l=5, source=Source.COMPLETE)
-        results: list = []
-        errors: list[BaseException] = []
-
-        def consume() -> None:
-            try:
-                results.extend(
-                    session.size_l_many(subjects, options=options, workers=2)
-                )
-            except BaseException as exc:  # pragma: no cover - the regression
-                errors.append(exc)
-
-        consumer = threading.Thread(target=consume)
-        consumer.start()
-        in_flight.wait()  # two generations are genuinely in flight now
-        session.close()  # drains; must not break the running fan-out
-        session.close()  # idempotent mid-stream too
-        consumer.join(timeout=10)
-        assert not consumer.is_alive()
-        assert errors == []
-        assert len(results) == len(subjects)
-        expected = [
-            dblp_engine.run(table, row, options.normalized())
-            for table, row in subjects
-        ]
-        assert [r.selected_uids for r in results] == [
-            e.selected_uids for e in expected
-        ]
-
-    def test_fanout_after_close_grows_a_fresh_pool(self, dblp_engine) -> None:
-        session = Session(dblp_engine)
-        session.size_l_many([("author", 0)], 5, workers=2)
-        session.close()
-        results = session.size_l_many(
-            [("author", 1), ("author", 2)], 5, workers=2
-        )
-        assert len(results) == 2
-        session.close()
-
-    def test_submit_degrades_inline_when_executor_refuses(
-        self, dblp_engine, monkeypatch
-    ) -> None:
-        """The drain guarantee's last line: if the executor itself refuses
-        the task (shutdown flag set underneath us), the call runs inline
-        instead of raising through the stream."""
-        session = Session(dblp_engine)
-        session.size_l_many([("author", 0)], 5, workers=2)  # grow the pool
-
-        class Refusing:
-            def submit(self, fn, *args):
-                raise RuntimeError("cannot schedule new futures after shutdown")
-
-            def shutdown(self, wait=True):
-                pass
-
-        monkeypatch.setattr(session, "_pool", Refusing())
-        monkeypatch.setattr(session, "_pool_workers", 8)
-        results = session.size_l_many(
-            [("author", 1), ("author", 2)], 5, workers=2
-        )
-        assert [r.size for r in results] == [5, 5]

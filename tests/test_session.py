@@ -41,6 +41,15 @@ class TestSessionBasics:
         assert len(results) == 2
         assert all(r.size == 5 for r in results)
 
+    def test_size_l_many_keeps_input_order(self, session: Session) -> None:
+        subjects = [("author", 2), ("author", 0), ("author", 1), ("author", 0)]
+        results = session.size_l_many(subjects, l=5)
+        assert [r.summary.root.row_id for r in results] == [2, 0, 1, 0]
+        assert [r.importance for r in results] == [
+            session.size_l(table, row_id, l=5).importance
+            for table, row_id in subjects
+        ]
+
     def test_defaults_seed_queries(self, dblp_engine) -> None:
         session = Session(
             dblp_engine,
