@@ -12,14 +12,15 @@ Routing policy (the subject key is ``(dataset, table, row_id)`` on the
 
 * ``/v1/size-l`` — forwarded to the subject's owning shard (malformed
   payloads go to shard 0, whose dispatcher produces the pinned 400);
-* ``/v1/batch`` — split by owner and scattered; entries are re-indexed to
-  the caller's subject order, per-worker cache counters merged;
+* ``/v1/batch`` — the owner scatter: subjects grouped by owning shard,
+  one ``/v1/batch`` per owner, entries re-ranked to the caller's subject
+  order, per-worker cache counters merged;
 * ``/v1/query`` — one cheap ``cluster/matches`` call computes the ranked
-  match list (and runs the full request validation), the router applies
-  the cursor/page window exactly as the single-process dispatcher does,
-  then scatters the expensive per-subject OS work to each match's owning
-  shard as ``/v1/batch`` and merges by global rank — so cursors minted by
-  a 1-shard server page correctly on an 8-shard one and vice versa;
+  match list (and runs the full request validation), the router pages
+  through :func:`~repro.service.dispatch.page_window`, the single-process
+  dispatcher's own cursor check and page window, then runs the page
+  through the same owner scatter — so cursors minted by a 1-shard server
+  page correctly on an 8-shard one and vice versa;
 * ``/v1/admin/invalidate`` — row-scoped requests go only to the owning
   shard (the only cache that can hold that subject); broader scopes
   broadcast;
@@ -27,6 +28,10 @@ Routing policy (the subject key is ``(dataset, table, row_id)`` on the
 * ``/v1/stats`` — scattered and merged with
   :meth:`~repro.core.cache.CacheStats.merge`, plus a ``cluster`` section;
 * ``/v1/datasets`` — any healthy shard (they are replicas of the recipe).
+
+The ``/v1/query`` and ``/v1/batch`` bodies are typed responses encoded by
+:func:`~repro.service.protocol.encode_response`, exactly as on one
+process.
 
 Failure budget: every request gets one deadline — the router's flat
 ``request_timeout``, tightened to the client's ``deadline_ms`` when the
@@ -56,30 +61,41 @@ import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable
+from dataclasses import replace
+from typing import Any, Iterable
 
 from repro.cluster.hashring import HashRing
 from repro.cluster.supervisor import Supervisor
 from repro.cluster.worker import MATCHES_ENDPOINT
 from repro.core.cache import CacheStats
-from repro.errors import (
-    DeadlineExceededError,
-    RequestValidationError,
-    ShardUnavailableError,
-)
+from repro.errors import DeadlineExceededError, ShardUnavailableError
 from repro.reliability.breaker import CLOSED, CircuitBreaker
-from repro.service.dispatch import ENDPOINTS, UnknownEndpointError, status_for
+from repro.search.keyword import DataSubjectMatch
+from repro.service.dispatch import (
+    ENDPOINTS,
+    UnknownEndpointError,
+    page_window,
+    status_for,
+)
 from repro.service.middleware.context import current_context
 from repro.service.protocol import (
     MAX_BATCH_SUBJECTS,
     PROTOCOL_VERSION,
+    BatchResponse,
     Cursor,
+    QueryResponse,
+    ResultEntry,
+    decode_entry,
     encode_error,
+    encode_response,
 )
 
 #: Keys a batch payload may carry; anything else is forwarded whole to a
 #: worker so its decoder produces the pinned unknown-field 400.
 _BATCH_KEYS = {"protocol_version", "dataset", "subjects", "options", "deadline_ms"}
+
+#: One shard's ``(status, body)`` answer.
+_Reply = tuple[int, dict[str, Any]]
 
 
 def _is_row_id(value: object) -> bool:
@@ -105,6 +121,26 @@ def _valid_subject(item: object) -> bool:
         and isinstance(item[0], str)
         and _is_row_id(item[1])
     )
+
+
+class _Relay(Exception):
+    """A shard's non-200 answer, relayed to the client verbatim.
+
+    Raised on the request's own thread once a scatter is gathered, so an
+    endpoint stops at the first failing shard in shard order;
+    :meth:`ClusterRouter.dispatch_safe` returns the carried reply.
+    """
+
+    def __init__(self, reply: _Reply) -> None:
+        super().__init__(reply[0])
+        self.reply = reply
+
+
+def _relay_failures(replies: "Iterable[_Reply | None]") -> None:
+    """Relay the first non-200 reply (``None`` is a tolerated missing shard)."""
+    for reply in replies:
+        if reply is not None and reply[0] != 200:
+            raise _Relay(reply)
 
 
 class _Budget:
@@ -297,14 +333,100 @@ class ClusterRouter:
                 raise last
             time.sleep(min(self.retry_interval, remaining))
 
-    def _scatter(
-        self, calls: list[Callable[[], tuple[int, dict[str, Any]]]]
-    ) -> list[tuple[int, dict[str, Any]]]:
-        """Run the calls concurrently; the first exception propagates."""
-        if len(calls) == 1:
-            return [calls[0]()]
-        futures = [self._pool.submit(call) for call in calls]
-        return [future.result() for future in futures]
+    def _fan_out(
+        self,
+        endpoint: str,
+        payloads: "dict[int, Any]",
+        budget: _Budget,
+        *,
+        partial: bool = False,
+        tolerate: bool = False,
+    ) -> "dict[int, _Reply | None]":
+        """``payloads[shard]`` to each shard concurrently, replies in shard order.
+
+        The first exception propagates.  Degraded mode (*partial*) gives an
+        unavailable shard ``partial_patience`` instead of the whole budget
+        (a dead shard must not eat it) and then answers ``None`` for it;
+        *tolerate* answers ``None`` for a shard still unavailable when the
+        budget runs out.
+        """
+        patience = self.partial_patience if partial else None
+
+        def call(shard: int) -> "_Reply | None":
+            try:
+                return self._call(
+                    shard, endpoint, payloads[shard], budget, patience=patience
+                )
+            except ShardUnavailableError:
+                if partial or tolerate:
+                    return None
+                raise
+
+        shards = sorted(payloads)
+        if len(shards) == 1:
+            return {shards[0]: call(shards[0])}
+        futures = [self._pool.submit(call, shard) for shard in shards]
+        return {shard: future.result() for shard, future in zip(shards, futures)}
+
+    def _everywhere(self, payload: Any) -> "dict[int, Any]":
+        """*payload* for every shard (a broadcast's ``_fan_out`` argument)."""
+        return dict.fromkeys(range(self.supervisor.shard_count), payload)
+
+    def _owner_scatter(
+        self,
+        dataset: str,
+        subjects: "list[tuple[str, int]]",
+        payload: dict[str, Any],
+        budget: _Budget,
+        *,
+        first_rank: int = 0,
+        allow_partial: bool = False,
+    ) -> "tuple[list[ResultEntry | None], dict[str, int], int, list[int]]":
+        """The size-l OSs of *subjects*, each computed on its owning shard.
+
+        Subjects are grouped by ring owner and each owner gets one
+        ``/v1/batch`` carrying *payload*'s protocol version, options and
+        deadline.  Returns the entries in subject order, ranked from
+        *first_rank* (``None`` for a missing shard's subjects), the merged
+        cache counters, the highest ``dataset_version`` among the answers,
+        and the missing shards.  With *allow_partial* a shard that stays
+        unavailable or answers 503 is missing; any other non-200 answer is
+        relayed.
+        """
+        groups: dict[int, list[int]] = {}
+        for index, (table, row_id) in enumerate(subjects):
+            shard = self.ring.owner(dataset, table, row_id)
+            groups.setdefault(shard, []).append(index)
+        shared = {
+            key: payload[key]
+            for key in ("protocol_version", "options", "deadline_ms")
+            if key in payload
+        }
+        payloads = {
+            shard: {
+                **shared,
+                "dataset": dataset,
+                "subjects": [list(subjects[index]) for index in indices],
+            }
+            for shard, indices in groups.items()
+        }
+        replies = self._fan_out("/v1/batch", payloads, budget, partial=allow_partial)
+        entries: list[ResultEntry | None] = [None] * len(subjects)
+        caches: list[dict[str, int]] = []
+        missing: list[int] = []
+        version = 0
+        for shard, reply in replies.items():
+            if reply is None or (allow_partial and reply[0] == 503):
+                missing.append(shard)
+                continue
+            if reply[0] != 200:
+                raise _Relay(reply)
+            body = reply[1]
+            for index, entry in zip(groups[shard], body["results"]):
+                entries[index] = decode_entry({**entry, "rank": first_rank + index})
+            caches.append(body.get("cache", {}))
+            version = max(version, int(body.get("dataset_version", 0)))
+        return entries, CacheStats.merge(*caches).as_dict(), version, missing
 
     # ------------------------------------------------------------------ #
     # Endpoints
@@ -334,188 +456,75 @@ class ClusterRouter:
         if not splittable:
             # let a real dispatcher produce the pinned validation error
             return self._call(0, "/v1/batch", payload, budget)
-        dataset = payload["dataset"]
-        groups: dict[int, list[int]] = {}
-        for index, (table, row_id) in enumerate(payload["subjects"]):
-            shard = self.ring.owner(dataset, table, row_id)
-            groups.setdefault(shard, []).append(index)
-
-        def sub_payload(indices: list[int]) -> dict[str, Any]:
-            sub = {
-                key: payload[key]
-                for key in ("protocol_version", "dataset", "options", "deadline_ms")
-                if key in payload
-            }
-            sub["subjects"] = [list(payload["subjects"][i]) for i in indices]
-            return sub
-
-        shards = sorted(groups)
-        replies = self._scatter(
-            [
-                (lambda s=shard: self._call(
-                    s, "/v1/batch", sub_payload(groups[s]), budget
-                ))
-                for shard in shards
-            ]
+        entries, cache, version, _missing = self._owner_scatter(
+            payload["dataset"],
+            [(table, row_id) for table, row_id in payload["subjects"]],
+            payload,
+            budget,
         )
-        entries: list[dict[str, Any] | None] = [None] * len(payload["subjects"])
-        caches: list[dict[str, int]] = []
-        version = 0
-        for shard, (status, body) in zip(shards, replies):
-            if status != 200:
-                return status, body
-            for index, entry in zip(groups[shard], body["results"]):
-                entry = dict(entry)
-                entry["rank"] = index
-                entries[index] = entry
-            caches.append(body.get("cache", {}))
-            version = max(version, int(body.get("dataset_version", 0)))
-        return 200, {
-            "protocol_version": PROTOCOL_VERSION,
-            "dataset": dataset,
-            "cache": CacheStats.merge(*caches).as_dict(),
-            "dataset_version": version,
-            "results": entries,
-        }
+        return 200, encode_response(
+            BatchResponse(
+                dataset=payload["dataset"],
+                results=tuple(entries),
+                cache=cache,
+                dataset_version=version,
+            )
+        )
 
     def _query(self, payload: Any, budget: _Budget) -> tuple[int, dict[str, Any]]:
-        """The split keyword query: one match call, one batch per shard.
-
-        The window arithmetic below (cursor verification, page slice,
-        next-cursor minting) mirrors ``ServiceDispatcher.query`` line for
-        line — it must, or cursors would not round-trip between shard
-        counts.
-        """
-        allow_partial = (
-            isinstance(payload, dict) and payload.get("allow_partial") is True
-        )
+        """The split keyword query: one match call, then the owner scatter."""
         status, found = self._call_any(MATCHES_ENDPOINT, payload, budget)
         if status != 200:
             return status, found
-        matches = found["matches"]
-        dataset = found["dataset"]
-        start = 0
-        raw_cursor = payload.get("cursor") if isinstance(payload, dict) else None
-        if raw_cursor is not None:
-            cursor = Cursor.decode(raw_cursor)  # already validated by the worker
-            stable = cursor.rank < len(matches) and (
-                matches[cursor.rank]["table"] == cursor.table
-                and matches[cursor.rank]["row_id"] == cursor.row_id
+        # a 200 means the worker decoded *payload* as a valid query request
+        matches = [DataSubjectMatch(**match) for match in found["matches"]]
+        cursor = payload.get("cursor")
+        start, stop, next_cursor = page_window(
+            matches,
+            None if cursor is None else Cursor.decode(cursor),
+            payload.get("page_size"),
+        )
+        page = matches[start:stop]
+        entries, cache, version, missing = self._owner_scatter(
+            found["dataset"],
+            [(match.table, match.row_id) for match in page],
+            payload,
+            budget,
+            first_rank=start,
+            allow_partial=payload.get("allow_partial") is True,
+        )
+        return 200, encode_response(
+            QueryResponse(
+                dataset=found["dataset"],
+                keywords=tuple(found["keywords"]),
+                results=tuple(
+                    replace(entry, match_importance=match.importance)
+                    for match, entry in zip(page, entries)
+                    if entry is not None
+                ),
+                total_matches=len(matches),
+                next_cursor=next_cursor,
+                cache=cache,
+                dataset_version=max(int(found.get("dataset_version", 0)), version),
+                degraded=bool(missing),
+                missing_shards=tuple(missing),
             )
-            if not stable:
-                exc = RequestValidationError(
-                    f"stale cursor: rank {cursor.rank} is no longer "
-                    f"{cursor.table}#{cursor.row_id} in the current ranking; "
-                    "restart the query without a cursor"
-                )
-                return 400, encode_error(exc, 400)
-            start = cursor.rank + 1
-        page = matches[start:]
-        page_size = payload.get("page_size") if isinstance(payload, dict) else None
-        if page_size is not None:
-            page = page[:page_size]
-
-        groups: dict[int, list[int]] = {}
-        for offset, match in enumerate(page):
-            shard = self.ring.owner(dataset, match["table"], match["row_id"])
-            groups.setdefault(shard, []).append(offset)
-
-        def sub_payload(offsets: list[int]) -> dict[str, Any]:
-            sub: dict[str, Any] = {"dataset": dataset}
-            if isinstance(payload, dict) and "options" in payload:
-                sub["options"] = payload["options"]
-            if isinstance(payload, dict) and "deadline_ms" in payload:
-                sub["deadline_ms"] = payload["deadline_ms"]
-            sub["subjects"] = [
-                [page[o]["table"], page[o]["row_id"]] for o in offsets
-            ]
-            return sub
-
-        def call_shard(shard: int) -> "tuple[int, dict[str, Any]] | None":
-            sub = sub_payload(groups[shard])
-            if not allow_partial:
-                return self._call(shard, "/v1/batch", sub, budget)
-            try:
-                return self._call(
-                    shard, "/v1/batch", sub, budget,
-                    patience=self.partial_patience,
-                )
-            except ShardUnavailableError:
-                return None  # degraded: this shard's entries are dropped
-
-        shards = sorted(groups)
-        replies = self._scatter([(lambda s=shard: call_shard(s)) for shard in shards])
-        entries: list[dict[str, Any] | None] = [None] * len(page)
-        caches: list[dict[str, int]] = []
-        missing: list[int] = []
-        version = int(found.get("dataset_version", 0))
-        for shard, reply in zip(shards, replies):
-            if reply is None or (allow_partial and reply[0] == 503):
-                missing.append(shard)
-                continue
-            batch_status, body = reply
-            if batch_status != 200:
-                return batch_status, body
-            for offset, entry in zip(groups[shard], body["results"]):
-                entry = dict(entry)
-                entry["rank"] = start + offset
-                entry["match_importance"] = float(page[offset]["importance"])
-                entries[offset] = entry
-            caches.append(body.get("cache", {}))
-            version = max(version, int(body.get("dataset_version", 0)))
-        next_cursor = None
-        if page and start + len(page) < len(matches):
-            last = page[-1]
-            next_cursor = Cursor(
-                rank=start + len(page) - 1,
-                table=last["table"],
-                row_id=last["row_id"],
-            ).encode()
-        body = {
-            "protocol_version": PROTOCOL_VERSION,
-            "dataset": dataset,
-            "cache": CacheStats.merge(*caches).as_dict(),
-            "dataset_version": version,
-            "keywords": found["keywords"],
-            "results": [entry for entry in entries if entry is not None],
-            "total_matches": found["total"],
-            "next_cursor": next_cursor,
-        }
-        # the marker appears only on actually-degraded answers, so healthy
-        # allow_partial responses stay byte-identical to normal ones
-        if missing:
-            body["degraded"] = True
-            body["missing_shards"] = sorted(missing)
-        return 200, body
+        )
 
     def _stats(self, payload: Any, budget: _Budget) -> tuple[int, dict[str, Any]]:
         allow_partial = (
             isinstance(payload, dict) and payload.get("allow_partial") is True
         )
-        shards = range(self.supervisor.shard_count)
-
-        def call_shard(shard: int) -> "tuple[int, dict[str, Any]] | None":
-            if not allow_partial:
-                return self._call(shard, "/v1/stats", payload, budget)
-            try:
-                return self._call(
-                    shard, "/v1/stats", payload, budget,
-                    patience=self.partial_patience,
-                )
-            except ShardUnavailableError:
-                return None
-
-        replies = self._scatter([(lambda s=shard: call_shard(s)) for shard in shards])
-        missing = [shard for shard, reply in zip(shards, replies) if reply is None]
-        healthy = [reply for reply in replies if reply is not None]
-        if not healthy:
+        replies = self._fan_out(
+            "/v1/stats", self._everywhere(payload), budget, partial=allow_partial
+        )
+        missing = [shard for shard, reply in replies.items() if reply is None]
+        if len(missing) == len(replies):
             raise ShardUnavailableError(
                 missing[0], "no shard could answer the stats broadcast"
             )
-        for status, body in healthy:
-            if status != 200:
-                return status, body
-        bodies = [body for _status, body in healthy]
+        _relay_failures(replies.values())
+        bodies = [reply[1] for reply in replies.values() if reply is not None]
         merged = dict(bodies[0])
         if isinstance(payload, dict) and payload.get("dataset") is not None:
             merged["cache"] = CacheStats.merge(
@@ -563,21 +572,9 @@ class ClusterRouter:
         status, body = self._call(owner, "/v1/mutate", payload, budget)
         if status != 200:
             return status, body
-        replicas = [
-            shard
-            for shard in range(self.supervisor.shard_count)
-            if shard != owner
-        ]
-        if replicas:
-            replies = self._scatter(
-                [
-                    (lambda s=shard: self._call(s, "/v1/mutate", payload, budget))
-                    for shard in replicas
-                ]
-            )
-            for replica_status, replica_body in replies:
-                if replica_status != 200:
-                    return replica_status, replica_body
+        replicas = self._everywhere(payload)
+        del replicas[owner]
+        _relay_failures(self._fan_out("/v1/mutate", replicas, budget).values())
         return status, body
 
     def _watch_register(
@@ -603,20 +600,14 @@ class ClusterRouter:
         the shards that still hold the watch.  Only when *no* shard knows
         the watch does the 404 propagate.
         """
-        shards = range(self.supervisor.shard_count)
-
-        def call_shard(shard: int) -> "tuple[int, dict[str, Any]] | None":
-            try:
-                return self._call(shard, "/v1/watch/poll", payload, budget)
-            except ShardUnavailableError:
-                return None
-
-        replies = self._scatter([(lambda s=shard: call_shard(s)) for shard in shards])
+        replies = self._fan_out(
+            "/v1/watch/poll", self._everywhere(payload), budget, tolerate=True
+        )
         merged: dict[int, dict[str, Any]] = {}
         version = 0
         template: "dict[str, Any] | None" = None
-        failure: "tuple[int, dict[str, Any]] | None" = None
-        for reply in replies:
+        failure: "_Reply | None" = None
+        for reply in replies.values():
             if reply is None:
                 continue
             status, body = reply
@@ -648,18 +639,11 @@ class ClusterRouter:
         self, payload: Any, budget: _Budget
     ) -> tuple[int, dict[str, Any]]:
         """Broadcast a cancel; ``cancelled`` is true if any shard held it."""
-        shards = range(self.supervisor.shard_count)
-        replies = self._scatter(
-            [
-                (lambda s=shard: self._call(s, "/v1/watch/cancel", payload, budget))
-                for shard in shards
-            ]
-        )
-        for status, body in replies:
-            if status != 200:
-                return status, body
-        merged = dict(replies[0][1])
-        merged["cancelled"] = any(body.get("cancelled") for _s, body in replies)
+        replies = self._fan_out("/v1/watch/cancel", self._everywhere(payload), budget)
+        _relay_failures(replies.values())
+        bodies = [body for _status, body in replies.values()]
+        merged = dict(bodies[0])
+        merged["cancelled"] = any(body.get("cancelled") for body in bodies)
         return 200, merged
 
     def _invalidate(self, payload: Any, budget: _Budget) -> tuple[int, dict[str, Any]]:
@@ -685,16 +669,8 @@ class ClusterRouter:
         Mutations never degrade: a partial invalidate/reload would leave
         shards serving different generations of the same dataset.
         """
-        shards = range(self.supervisor.shard_count)
-        replies = self._scatter(
-            [
-                (lambda s=shard: self._call(s, endpoint, payload, budget))
-                for shard in shards
-            ]
-        )
-        for status, body in replies:
-            if status != 200:
-                return status, body
+        replies = self._fan_out(endpoint, self._everywhere(payload), budget)
+        _relay_failures(replies.values())
         return replies[0]
 
     # ------------------------------------------------------------------ #
@@ -738,6 +714,8 @@ class ClusterRouter:
                 return self._watch_cancel(payload, budget)
             exc = UnknownEndpointError(endpoint)
             return 404, encode_error(exc, 404)
+        except _Relay as relay:
+            return relay.reply
         except ShardUnavailableError as exc:
             return 503, encode_error(exc, 503)
         except Exception as exc:  # noqa: BLE001 - the dispatch_safe contract
@@ -749,17 +727,14 @@ class ClusterRouter:
                 if self._inflight == 0:
                     self._inflight_zero.notify_all()
 
-    def cache_stats_by_dataset(self) -> "dict[str, CacheStats]":
-        """Typed per-dataset cache counters, merged across shards.
+    def _scrape_stats(self) -> "list[dict[str, Any]]":
+        """Each answering shard's non-building aggregate ``/v1/stats`` body.
 
-        The metrics endpoint's hook: each shard answers its non-building
-        aggregate ``/v1/stats`` under a short flat timeout, unavailable
-        shards are skipped (a scrape must not block on a restarting
-        worker), and each dataset's counters merge via
-        :meth:`CacheStats.merge`.  Datasets no shard has built yet simply
-        do not appear.
+        The metrics hooks' one source: a single attempt per shard under a
+        short flat timeout, and an unavailable shard is skipped (a scrape
+        must not block on a restarting worker).
         """
-        per_dataset: dict[str, list[dict[str, int]]] = {}
+        bodies = []
         for shard in range(self.supervisor.shard_count):
             try:
                 status, body = self.supervisor.request(
@@ -767,8 +742,19 @@ class ClusterRouter:
                 )
             except ShardUnavailableError:
                 continue
-            if status != 200 or not isinstance(body, dict):
-                continue
+            if status == 200 and isinstance(body, dict):
+                bodies.append(body)
+        return bodies
+
+    def cache_stats_by_dataset(self) -> "dict[str, CacheStats]":
+        """Typed per-dataset cache counters, merged across shards.
+
+        The metrics endpoint's hook: each dataset's counters from
+        :meth:`_scrape_stats` merge via :meth:`CacheStats.merge`.
+        Datasets no shard has built yet simply do not appear.
+        """
+        per_dataset: dict[str, list[dict[str, int]]] = {}
+        for body in self._scrape_stats():
             for name, info in body.items():
                 if isinstance(info, dict) and isinstance(info.get("cache"), dict):
                     per_dataset.setdefault(name, []).append(info["cache"])
@@ -787,15 +773,7 @@ class ClusterRouter:
         shards agree and max is exact.
         """
         merged: dict[str, dict[str, int]] = {}
-        for shard in range(self.supervisor.shard_count):
-            try:
-                status, body = self.supervisor.request(
-                    shard, "/v1/stats", None, timeout=self.partial_patience
-                )
-            except ShardUnavailableError:
-                continue
-            if status != 200 or not isinstance(body, dict):
-                continue
+        for body in self._scrape_stats():
             for name, info in body.items():
                 if not isinstance(info, dict) or "dataset_version" not in info:
                     continue

@@ -245,8 +245,9 @@ class WorkerServer(socketserver.ThreadingTCPServer):
         Decodes the *full* ``/v1/query`` payload — so field validation,
         option validation, and unknown-dataset failures surface here with
         exactly the single-process status codes — but only runs the cheap
-        search half.  Cursor staleness is the router's job (it holds the
-        match list this response returns).
+        search half.  Cursor staleness is the router's job: it pages the
+        match list this response returns through
+        :func:`~repro.service.dispatch.page_window`.
         """
         try:
             with deadline_scope(request_deadline(payload)):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import time
+import timeit
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,9 +49,9 @@ class EfficiencyRow:
 
 
 def _time_algorithm(algorithm: SizeLAlgorithm, tree: FlatOS, l: int) -> float:  # noqa: E741
-    start = time.perf_counter()
-    algorithm(tree, l)
-    return time.perf_counter() - start
+    # timeit pauses the garbage collector around the call: a collection
+    # landing inside one ~0.1 ms call would dominate a few-dozen-call mean
+    return timeit.timeit(lambda: algorithm(tree, l), number=1)
 
 
 def efficiency_experiment(

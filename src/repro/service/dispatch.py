@@ -52,7 +52,7 @@ selection kernels, and backend IO all checkpoint against it.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from repro.core.options import QueryOptions
 from repro.errors import (
@@ -68,6 +68,7 @@ from repro.errors import (
     UnknownWatchError,
 )
 from repro.reliability.deadline import deadline_scope
+from repro.search.keyword import DataSubjectMatch
 from repro.service.middleware.context import current_context
 from repro.service.deployment import Deployment
 from repro.service.protocol import (
@@ -138,6 +139,42 @@ def status_for(exc: BaseException, endpoint: str | None = None) -> int:
     return 500
 
 
+def page_window(
+    matches: Sequence[DataSubjectMatch],
+    cursor: Cursor | None,
+    page_size: int | None,
+) -> tuple[int, int, Cursor | None]:
+    """One page of a ranked match list: ``(start, stop, next_cursor)``.
+
+    The page is ``matches[start:stop]``.  A cursor resumes *after* its
+    ``(rank, table, row_id)`` and is first verified against *matches*,
+    so a ranking that changed between pages is the pinned stale-cursor
+    400 instead of silently skipped or repeated results.
+    ``next_cursor`` names the page's last entry, or is ``None`` when
+    nothing follows it.  The single process and the cluster router both
+    page through here, so a cursor means the same on any shard count.
+    """
+    start = 0
+    if cursor is not None:
+        stable = cursor.rank < len(matches) and (
+            matches[cursor.rank].table == cursor.table
+            and matches[cursor.rank].row_id == cursor.row_id
+        )
+        if not stable:
+            raise RequestValidationError(
+                f"stale cursor: rank {cursor.rank} is no longer "
+                f"{cursor.table}#{cursor.row_id} in the current ranking; "
+                "restart the query without a cursor"
+            )
+        start = cursor.rank + 1
+    stop = len(matches) if page_size is None else min(start + page_size, len(matches))
+    next_cursor = None
+    if start < stop < len(matches):
+        last = matches[stop - 1]
+        next_cursor = Cursor(rank=stop - 1, table=last.table, row_id=last.row_id)
+    return start, stop, next_cursor
+
+
 class ServiceDispatcher:
     """Typed + dict request handling over one :class:`Deployment`."""
 
@@ -178,10 +215,7 @@ class ServiceDispatcher:
 
         The ranked match list is recomputed (keyword search is the cheap
         half of the pipeline); the expensive size-l OSs are computed only
-        for this page.  A cursor resumes *after* its ``(rank, table,
-        row_id)`` — and is first verified against the current ranking, so
-        a dataset change between pages surfaces as a 400 instead of
-        silently skipped or repeated results.
+        for the page :func:`page_window` cuts from it.
         """
         session = self.deployment.session(request.dataset)
         before = self._computations_before(session)
@@ -192,23 +226,10 @@ class ServiceDispatcher:
         # a concurrent commit waits rather than tearing the response
         with session.guard().read():
             matches = session.engine.search_matches(keywords, options)
-            start = 0
-            if request.cursor is not None:
-                cursor = request.cursor
-                stable = cursor.rank < len(matches) and (
-                    matches[cursor.rank].table == cursor.table
-                    and matches[cursor.rank].row_id == cursor.row_id
-                )
-                if not stable:
-                    raise RequestValidationError(
-                        f"stale cursor: rank {cursor.rank} is no longer "
-                        f"{cursor.table}#{cursor.row_id} in the current ranking; "
-                        "restart the query without a cursor"
-                    )
-                start = cursor.rank + 1
-            page = matches[start:]
-            if request.page_size is not None:
-                page = page[: request.page_size]
+            start, stop, next_cursor = page_window(
+                matches, request.cursor, request.page_size
+            )
+            page = matches[start:stop]
             results = session.size_l_many(
                 [(match.table, match.row_id) for match in page], options=options
             )
@@ -219,12 +240,6 @@ class ServiceDispatcher:
                 for i, (match, result) in enumerate(zip(page, results))
             )
             version = session.dataset_version
-        next_cursor = None
-        if page and start + len(page) < len(matches):
-            last = page[-1]
-            next_cursor = Cursor(
-                rank=start + len(page) - 1, table=last.table, row_id=last.row_id
-            )
         self._note_cache_hit(session, before)
         return QueryResponse(
             dataset=request.dataset,

@@ -713,7 +713,8 @@ def encode_response(
     return body
 
 
-def _decode_entry(payload: object) -> ResultEntry:
+def decode_entry(payload: object) -> ResultEntry:
+    """A typed :class:`ResultEntry` from its wire dict (``as_dict``'s inverse)."""
     payload = _require_mapping(payload, "result entry")
     entry_fields = (
         "rank",
@@ -769,7 +770,7 @@ def decode_query_response(payload: object) -> QueryResponse:
         dataset=_require(payload, "dataset", "query response"),
         keywords=tuple(_require(payload, "keywords", "query response")),
         results=tuple(
-            _decode_entry(entry)
+            decode_entry(entry)
             for entry in _require(payload, "results", "query response")
         ),
         total_matches=_require(payload, "total_matches", "query response"),

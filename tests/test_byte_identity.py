@@ -64,6 +64,18 @@ def stable(entry: dict) -> dict:
     return {key: entry[key] for key in _STABLE}
 
 
+def comparable(raw: bytes) -> bytes:
+    """A raw success body re-serialized with its per-process fields
+    blanked: ``cache`` (each process's own counters) and every entry's
+    ``stats``.  Everything else keeps its key order, float text and
+    nulls."""
+    body = json.loads(raw)
+    body["cache"] = {}
+    for entry in body["results"]:
+        entry["stats"] = {}
+    return json.dumps(body).encode("utf-8")
+
+
 @pytest.fixture(autouse=True)
 def disarm_faults():
     """No test may leak an armed in-process plan into the next."""
@@ -452,6 +464,39 @@ class TestSuccessThroughMiddleware:
         ]
         assert single_body["total_matches"] == cluster_body["total_matches"]
         assert single_body["next_cursor"] == cluster_body["next_cursor"]
+
+    def test_success_bytes_match_but_for_cache_and_stats(
+        self, single_http, cluster_http
+    ) -> None:
+        """Whole query, pages, an empty last page and a batch: the two
+        topologies' raw bodies differ only in ``cache`` and entry
+        ``stats``."""
+        query = {"dataset": "dblp", "keywords": KEYWORDS, "options": OPTIONS}
+        whole = json.loads(call(single_http, "/v1/query", query)[2])
+        results = whole["results"]
+        assert len(results) == whole["total_matches"] >= 2
+        first = json.loads(call(single_http, "/v1/query", {**query, "page_size": 1})[2])
+        last = Cursor(
+            rank=results[-1]["rank"],
+            table=results[-1]["table"],
+            row_id=results[-1]["row_id"],
+        )
+        subjects = [[entry["table"], entry["row_id"]] for entry in results]
+        cases = [
+            ("/v1/query", query),
+            ("/v1/query", {**query, "page_size": 1}),
+            ("/v1/query", {**query, "page_size": 1, "cursor": first["next_cursor"]}),
+            ("/v1/query", {**query, "cursor": last.encode()}),
+            ("/v1/batch", {"dataset": "dblp", "subjects": subjects, "options": OPTIONS}),
+        ]
+        bodies = []
+        for path, payload in cases:
+            single_reply, cluster_reply = both(single_http, cluster_http, path, payload)
+            assert single_reply[0] == cluster_reply[0] == 200, (path, payload)
+            assert comparable(single_reply[2]) == comparable(cluster_reply[2]), payload
+            bodies.append(json.loads(cluster_reply[2]))
+        assert bodies[2]["results"][0]["rank"] == 1
+        assert bodies[3]["results"] == [] and bodies[3]["next_cursor"] is None
 
     def test_pipeline_preserves_dispatcher_bytes(self, single, single_http) -> None:
         """The disarmed stack serves the byte-exact serialization of the

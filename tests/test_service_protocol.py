@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core.options import QueryOptions
 from repro.errors import RequestValidationError
+from repro.search.keyword import DataSubjectMatch
+from repro.service.dispatch import page_window
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     BatchRequest,
@@ -168,6 +170,38 @@ class TestRoundTrips:
         assert isinstance(decode_request("query", body), QueryRequest)
         with pytest.raises(RequestValidationError, match="unknown request kind"):
             decode_request("nope", body)
+
+
+# --------------------------------------------------------------------- #
+# The page window both topologies cut a cursor's page with
+# --------------------------------------------------------------------- #
+_MATCHES = [
+    DataSubjectMatch("author", 10, 0.9),
+    DataSubjectMatch("author", 11, 0.5),
+    DataSubjectMatch("paper", 12, 0.1),
+]
+
+
+@pytest.mark.parametrize(
+    ("cursor", "page_size", "window"),
+    [
+        pytest.param(None, None, (0, 3, None), id="no-cursor"),
+        pytest.param(None, 2, (0, 2, Cursor(1, "author", 11)), id="first-page"),
+        pytest.param(Cursor(0, "author", 10), 5, (1, 3, None), id="size-past-end"),
+        pytest.param(Cursor(2, "paper", 12), None, (3, 3, None), id="last-rank"),
+        pytest.param(Cursor(3, "paper", 12), None, None, id="rank-at-len"),
+        pytest.param(Cursor(9, "paper", 12), 1, None, id="rank-beyond-len"),
+        pytest.param(Cursor(1, "author", 10), None, None, id="other-subject"),
+    ],
+)
+def test_page_window_edges(cursor, page_size, window) -> None:
+    """``(start, stop, next_cursor)``, or the pinned stale-cursor 400
+    (``window`` None) when the cursor no longer names its rank."""
+    if window is None:
+        with pytest.raises(RequestValidationError, match="^stale cursor: rank"):
+            page_window(_MATCHES, cursor, page_size)
+    else:
+        assert page_window(_MATCHES, cursor, page_size) == window
 
 
 # --------------------------------------------------------------------- #
