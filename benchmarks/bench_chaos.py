@@ -295,19 +295,15 @@ def bench_deadline_504(cluster: Cluster, reference: dict, quick: bool) -> dict:
 
     # the single-process twin: the same 100ms budget blown by slow IO
     dispatcher = reference["dispatcher"]
-    # force complete-OS generation through the SQL backend with the disk
-    # tier off: every trial pays per-node IO, so the delay fault below
-    # reliably blows the budget regardless of scale or warm state
+    # force complete-OS generation through the database backend, which
+    # the disk tier never serves: every trial pays per-node IO, so the
+    # delay fault below reliably blows the budget regardless of scale or
+    # warm state
     single_payload = {
         "dataset": "dblp",
         "table": probe[0],
         "row_id": probe[1],
-        "options": {
-            "l": SIZE_L,
-            "source": "complete",
-            "backend": "database",
-            "snapshot": False,
-        },
+        "options": {"l": SIZE_L, "source": "complete", "backend": "database"},
         "deadline_ms": 100,
     }
     install(FaultPlan([FaultRule(site="db.io", kind="delay", delay_seconds=0.02)]))

@@ -25,8 +25,11 @@ Routing policy (the subject key is ``(dataset, table, row_id)`` on the
   shard (the only cache that can hold that subject); broader scopes
   broadcast;
 * ``/v1/admin/reload`` — broadcast (every worker re-opens the snapshot);
-* ``/v1/stats`` — scattered and merged with
-  :meth:`~repro.core.cache.CacheStats.merge`, plus a ``cluster`` section;
+* ``/v1/stats`` — scattered, and each dataset's per-shard entries merged
+  by one rule (:func:`_merge_stats`: cache counters summed through
+  :meth:`~repro.core.cache.CacheStats.merge`, ``dataset_version`` and
+  ``watch_active`` the max over shards), plus a ``cluster`` section;
+  ``/v1/metrics`` renders this same answer;
 * ``/v1/datasets`` — any healthy shard (they are replicas of the recipe).
 
 The ``/v1/query`` and ``/v1/batch`` bodies are typed responses encoded by
@@ -50,8 +53,10 @@ worker cancels exactly when its router would have given up on it.
 Degraded mode: a query with ``allow_partial: true`` answers from the
 healthy shards when some owners are unavailable — ``degraded: true``
 plus the missing-shard list instead of a 503 — bounded per missing shard
-by ``partial_patience`` (a dead shard must not eat the whole budget).
-``/v1/stats`` honors the same flag with a partial merge.
+by ``partial_patience`` (a dead or hung shard must not eat the whole
+budget): every attempt's timeout is capped at the patience left, so a
+shard slower than ``partial_patience`` counts as missing.  ``/v1/stats``
+honors the same flag with a partial merge.
 """
 
 from __future__ import annotations
@@ -143,6 +148,26 @@ def _relay_failures(replies: "Iterable[_Reply | None]") -> None:
             raise _Relay(reply)
 
 
+def _merge_stats(entries: "list[dict[str, Any]]") -> dict[str, Any]:
+    """One dataset's ``/v1/stats`` entries from several shards, as one.
+
+    ``cache`` counters sum through :meth:`CacheStats.merge`;
+    ``dataset_version`` and ``watch_active`` take the max, as ``/v1/query``
+    bodies do (the front of a mutation broadcast; watches are replicated,
+    so healthy shards agree); every other field is the first shard's.
+    Only shards that built the dataset count: an unbuilt shard's
+    metadata answers only when no shard has built it.
+    """
+    built = [entry for entry in entries if isinstance(entry.get("cache"), dict)]
+    if not built:
+        return entries[0]
+    merged = dict(built[0])
+    merged["cache"] = CacheStats.merge(*(entry["cache"] for entry in built)).as_dict()
+    for key in ("dataset_version", "watch_active"):
+        merged[key] = max(int(entry.get(key, 0)) for entry in built)
+    return merged
+
+
 class _Budget:
     """One request's routing deadline: flat timeout or client budget.
 
@@ -178,6 +203,16 @@ class _Budget:
         return ShardUnavailableError(
             shard, f"request deadline ({self.timeout}s) exhausted"
         )
+
+
+def _attempt_timeout(budget: _Budget, start: float, patience: "float | None") -> float:
+    """How long one shard attempt may take: what remains of *budget*,
+    capped in degraded mode by what remains of *patience* since *start*,
+    so a hung shard costs ``partial_patience``, not the whole budget."""
+    timeout = budget.remaining()
+    if patience is not None:
+        timeout = min(timeout, patience - (time.monotonic() - start))
+    return timeout
 
 
 class ClusterRouter:
@@ -261,17 +296,17 @@ class ClusterRouter:
         The shard's circuit breaker paces the loop: while open, retries
         wait on the clock instead of dialing the dead socket, and one
         half-open probe per reset window tests for recovery.  *patience*
-        (degraded mode) bounds how long this call keeps waiting for an
-        unavailable shard, independent of the overall budget.
+        (degraded mode) bounds how long this call waits for the shard,
+        a hung one included, independent of the overall budget.
         """
         breaker = self._breakers[shard]
         start = time.monotonic()
         last: ShardUnavailableError | None = None
         while True:
-            remaining = budget.remaining()
-            if remaining <= 0:
-                raise budget.exhausted_error(shard)
-            if patience is not None and time.monotonic() - start >= patience:
+            timeout = _attempt_timeout(budget, start, patience)
+            if timeout <= 0:
+                if patience is None or budget.remaining() <= 0:
+                    raise budget.exhausted_error(shard)
                 raise last if last is not None else ShardUnavailableError(
                     shard, f"no healthy worker within {patience}s (partial mode)"
                 )
@@ -281,7 +316,7 @@ class ClusterRouter:
                         shard,
                         endpoint,
                         self._forwarded(payload, budget),
-                        timeout=remaining,
+                        timeout=timeout,
                         ctx=budget.ctx,
                     )
                 except ShardUnavailableError as exc:
@@ -293,22 +328,36 @@ class ClusterRouter:
             # pace the next attempt; the sleep is clamped to what remains
             # of the budget (and patience) so the call fails *at* its
             # deadline, never up to retry_interval past it
-            sleep = min(self.retry_interval, budget.remaining())
-            if patience is not None:
-                sleep = min(sleep, patience - (time.monotonic() - start))
+            sleep = min(self.retry_interval, _attempt_timeout(budget, start, patience))
             if sleep > 0:
                 time.sleep(sleep)
 
     def _call_any(
-        self, endpoint: str, payload: Any, budget: _Budget
+        self,
+        endpoint: str,
+        payload: Any,
+        budget: _Budget,
+        *,
+        patience: "float | None" = None,
     ) -> tuple[int, dict[str, Any]]:
-        """Any healthy shard (rotated for balance), same budget rules."""
+        """Any healthy shard (rotated for balance), same budget rules.
+
+        With *patience* (degraded mode) each shard gets that long, as in
+        :meth:`_call`: a shard that used its patience up is skipped, and
+        the call fails once every shard has.
+        """
         count = self.supervisor.shard_count
         last: ShardUnavailableError | None = None
+        # when each shard was first tried: its own patience clock
+        tried_since: dict[int, float] = {}
         while True:
-            start = next(self._rotation)
+            first = next(self._rotation)
             for offset in range(count):
-                shard = (start + offset) % count
+                shard = (first + offset) % count
+                since = tried_since.setdefault(shard, time.monotonic())
+                timeout = _attempt_timeout(budget, since, patience)
+                if patience is not None and timeout <= 0:
+                    continue
                 breaker = self._breakers[shard]
                 if not breaker.allow():
                     continue
@@ -317,7 +366,7 @@ class ClusterRouter:
                         shard,
                         endpoint,
                         self._forwarded(payload, budget),
-                        timeout=max(budget.remaining(), 1e-3),
+                        timeout=max(timeout, 1e-3),
                         ctx=budget.ctx,
                     )
                 except ShardUnavailableError as exc:
@@ -329,8 +378,18 @@ class ClusterRouter:
             remaining = budget.remaining()
             if remaining <= 0:
                 if budget.budget_ms is not None or last is None:
-                    raise budget.exhausted_error(start % count)
+                    raise budget.exhausted_error(first % count)
                 raise last
+            if patience is not None:
+                remaining = max(
+                    _attempt_timeout(budget, since, patience)
+                    for since in tried_since.values()
+                )
+                if remaining <= 0:
+                    raise last if last is not None else ShardUnavailableError(
+                        first % count,
+                        f"no healthy worker within {patience}s (partial mode)",
+                    )
             time.sleep(min(self.retry_interval, remaining))
 
     def _fan_out(
@@ -473,7 +532,13 @@ class ClusterRouter:
 
     def _query(self, payload: Any, budget: _Budget) -> tuple[int, dict[str, Any]]:
         """The split keyword query: one match call, then the owner scatter."""
-        status, found = self._call_any(MATCHES_ENDPOINT, payload, budget)
+        allow_partial = isinstance(payload, dict) and payload.get("allow_partial") is True
+        status, found = self._call_any(
+            MATCHES_ENDPOINT,
+            payload,
+            budget,
+            patience=self.partial_patience if allow_partial else None,
+        )
         if status != 200:
             return status, found
         # a 200 means the worker decoded *payload* as a valid query request
@@ -491,7 +556,7 @@ class ClusterRouter:
             payload,
             budget,
             first_rank=start,
-            allow_partial=payload.get("allow_partial") is True,
+            allow_partial=allow_partial,
         )
         return 200, encode_response(
             QueryResponse(
@@ -512,9 +577,7 @@ class ClusterRouter:
         )
 
     def _stats(self, payload: Any, budget: _Budget) -> tuple[int, dict[str, Any]]:
-        allow_partial = (
-            isinstance(payload, dict) and payload.get("allow_partial") is True
-        )
+        allow_partial = isinstance(payload, dict) and payload.get("allow_partial") is True
         replies = self._fan_out(
             "/v1/stats", self._everywhere(payload), budget, partial=allow_partial
         )
@@ -525,19 +588,13 @@ class ClusterRouter:
             )
         _relay_failures(replies.values())
         bodies = [reply[1] for reply in replies.values() if reply is not None]
-        merged = dict(bodies[0])
         if isinstance(payload, dict) and payload.get("dataset") is not None:
-            merged["cache"] = CacheStats.merge(
-                *(body.get("cache", {}) for body in bodies)
-            ).as_dict()
+            merged = _merge_stats(bodies)
         else:
-            for name, info in merged.items():
-                if isinstance(info, dict) and "cache" in info:
-                    info = dict(info)
-                    info["cache"] = CacheStats.merge(
-                        *(body[name]["cache"] for body in bodies if "cache" in body.get(name, {}))
-                    ).as_dict()
-                    merged[name] = info
+            merged = {
+                name: _merge_stats([body[name] for body in bodies if name in body])
+                for name in bodies[0]
+            }
         merged["cluster"] = {
             "shards": self.supervisor.shard_count,
             "ready": self.supervisor.ready_count(),
@@ -726,67 +783,6 @@ class ClusterRouter:
                 self._inflight -= 1
                 if self._inflight == 0:
                     self._inflight_zero.notify_all()
-
-    def _scrape_stats(self) -> "list[dict[str, Any]]":
-        """Each answering shard's non-building aggregate ``/v1/stats`` body.
-
-        The metrics hooks' one source: a single attempt per shard under a
-        short flat timeout, and an unavailable shard is skipped (a scrape
-        must not block on a restarting worker).
-        """
-        bodies = []
-        for shard in range(self.supervisor.shard_count):
-            try:
-                status, body = self.supervisor.request(
-                    shard, "/v1/stats", None, timeout=self.partial_patience
-                )
-            except ShardUnavailableError:
-                continue
-            if status == 200 and isinstance(body, dict):
-                bodies.append(body)
-        return bodies
-
-    def cache_stats_by_dataset(self) -> "dict[str, CacheStats]":
-        """Typed per-dataset cache counters, merged across shards.
-
-        The metrics endpoint's hook: each dataset's counters from
-        :meth:`_scrape_stats` merge via :meth:`CacheStats.merge`.
-        Datasets no shard has built yet simply do not appear.
-        """
-        per_dataset: dict[str, list[dict[str, int]]] = {}
-        for body in self._scrape_stats():
-            for name, info in body.items():
-                if isinstance(info, dict) and isinstance(info.get("cache"), dict):
-                    per_dataset.setdefault(name, []).append(info["cache"])
-        return {
-            name: CacheStats.merge(*counters)
-            for name, counters in sorted(per_dataset.items())
-        }
-
-    def live_stats_by_dataset(self) -> "dict[str, dict[str, int]]":
-        """Per-dataset live gauges, merged across shards with ``max``.
-
-        ``dataset_version`` takes the newest shard (during a mutation
-        broadcast shards briefly disagree; the scrape reports the front
-        of the convergence) and ``watch_active`` the largest registry —
-        watches are replicated everywhere, so on a healthy cluster the
-        shards agree and max is exact.
-        """
-        merged: dict[str, dict[str, int]] = {}
-        for body in self._scrape_stats():
-            for name, info in body.items():
-                if not isinstance(info, dict) or "dataset_version" not in info:
-                    continue
-                entry = merged.setdefault(
-                    name, {"dataset_version": 0, "watch_active": 0}
-                )
-                entry["dataset_version"] = max(
-                    entry["dataset_version"], int(info.get("dataset_version", 0))
-                )
-                entry["watch_active"] = max(
-                    entry["watch_active"], int(info.get("watch_active", 0))
-                )
-        return dict(sorted(merged.items()))
 
     def healthz(self) -> dict[str, Any]:
         """Cluster liveness: the router is up; per-shard detail inside.

@@ -38,7 +38,7 @@ import socket
 import socketserver
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -97,7 +97,6 @@ class WorkerSpec:
     #: append-target for per-hop access-log lines ("" disables; a shared
     #: file is safe — lines are written atomically and stamped ``shard``)
     access_log: str = ""
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -109,7 +108,6 @@ class WorkerSpec:
             "port": self.port,
             "cache_size": self.cache_size,
             "access_log": self.access_log,
-            "extra": self.extra,
         }
 
     @classmethod
@@ -127,7 +125,6 @@ class WorkerSpec:
                 port=payload.get("port", 0),
                 cache_size=payload.get("cache_size", 64),
                 access_log=payload.get("access_log", ""),
-                extra=payload.get("extra", {}),
             )
         except (KeyError, TypeError) as exc:
             raise ClusterError(f"invalid worker spec: {exc}") from exc

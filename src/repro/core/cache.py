@@ -396,15 +396,11 @@ class SummaryCache:
     # ------------------------------------------------------------------ #
     # Complete OSs
     # ------------------------------------------------------------------ #
-    def complete_os_flat(
-        self, rds_table: str, row_id: int, *, snapshot: bool = True
-    ) -> FlatOS:
+    def complete_os_flat(self, rds_table: str, row_id: int) -> FlatOS:
         """The cached complete OS of a subject (generated on first use).
 
         On a memory miss the attached snapshot is consulted before paying
-        a generation (``snapshot=False`` opts a call out and always
-        regenerates on miss — the :attr:`QueryOptions.snapshot` execution
-        knob).
+        a generation.
         """
         subject = (rds_table, row_id)
 
@@ -416,7 +412,7 @@ class SummaryCache:
             return entry.flat
 
         def compute():
-            tree = self._disk_lookup(subject) if snapshot else None
+            tree = self._disk_lookup(subject)
             if tree is None:
                 tree = self.engine.complete_os_flat(rds_table, row_id)
                 with self._acquire():
@@ -426,14 +422,9 @@ class SummaryCache:
         def insert(tree):
             self._touch(subject).flat = tree
 
-        # The disk flag is part of the flight key: a snapshot=False caller
-        # must never ride a disk-loading leader's flight and receive the
-        # snapshot tree its knob explicitly opted out of.  The two
-        # flavours may briefly duplicate work for one subject; each still
-        # deduplicates within itself.
         with self.engine.live_guard.read():
             tree, _from_cache = self._single_flight(
-                (subject, "flat", snapshot), lookup, compute, insert
+                (subject, "flat"), lookup, compute, insert
             )
         return tree
 
@@ -477,14 +468,9 @@ class SummaryCache:
         def insert(result):
             self._touch(subject).results[result_key] = result
 
-        # Like the tree layer, the snapshot flag joins the *flight* key
-        # (not the memo key — results are node-identical either way): a
-        # snapshot=False caller must lead its own live-backend pipeline,
-        # never wait out a leader computing from the disk tree.
         with self.engine.live_guard.read():
             result, from_cache = self._single_flight(
-                (subject, "result", result_key, options.snapshot),
-                lookup, compute, insert,
+                (subject, "result", result_key), lookup, compute, insert
             )
         return _per_call(result) if from_cache else result
 
@@ -500,7 +486,7 @@ class SummaryCache:
         if not reusable_tree:
             return self.engine.run(rds_table, row_id, options)
         gen_start = perf_counter()
-        tree = self.complete_os_flat(rds_table, row_id, snapshot=options.snapshot)
+        tree = self.complete_os_flat(rds_table, row_id)
         return self.engine.summarise(tree, options, perf_counter() - gen_start)
 
     # ------------------------------------------------------------------ #

@@ -109,14 +109,6 @@ class QueryOptions:
     backend: Backend | str = Backend.DATAGRAPH
     max_results: int | None = None
     depth_limit: int | None = None
-    #: Allow serving this query's complete-OS generation from an attached
-    #: snapshot (the :class:`~repro.core.cache.SummaryCache` disk tier).
-    #: ``False`` forces a cache **miss** to regenerate from the live
-    #: backend instead of loading the snapshot tree (a tree already in
-    #: the memory cache is still served).  Snapshot-loaded trees are
-    #: validated node-for-node identical to fresh ones, so this is an
-    #: execution knob and deliberately not part of :meth:`cache_key`.
-    snapshot: bool = True
 
     def normalized(self) -> "QueryOptions":
         """Validate every field and coerce strings to enums where built-in.
@@ -147,8 +139,6 @@ class QueryOptions:
                 f"depth_limit must be a non-negative integer or None, "
                 f"got {self.depth_limit!r}"
             )
-        if not isinstance(self.snapshot, bool):
-            raise SummaryError(f"snapshot must be a bool, got {self.snapshot!r}")
         return dataclasses.replace(
             self, algorithm=algorithm, source=source, backend=backend
         )
@@ -187,7 +177,6 @@ class QueryOptions:
             "backend": self.backend_name,
             "max_results": self.max_results,
             "depth_limit": self.depth_limit,
-            "snapshot": self.snapshot,
         }
 
     def cache_key(self) -> tuple[int, str, str, str, int | None]:

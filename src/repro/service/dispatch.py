@@ -373,37 +373,13 @@ class ServiceDispatcher:
             for name in self.deployment.names()
         }
 
-    def cache_stats_by_dataset(self) -> dict[str, Any]:
-        """Typed per-dataset cache counters for the metrics endpoint.
-
-        Non-building, like the aggregate :meth:`stats` form: a metrics
-        scrape must never synthesize a dataset, so only built sessions
-        report (an unbuilt dataset has no cache to count anyway).
-        """
+    def healthz(self) -> dict[str, Any]:
+        """The ``GET /v1/healthz`` body: the hosted names, no session built."""
         return {
-            name: self.deployment.session(name).cache.stats()
-            for name in self.deployment.names()
-            if self.deployment.describe(name)["built"]
+            "ok": True,
+            "role": "single-process",
+            "datasets": self.deployment.names(),
         }
-
-    def live_stats_by_dataset(self) -> dict[str, dict[str, int]]:
-        """Per-dataset live-mutation gauges for the metrics endpoint.
-
-        Non-building, like :meth:`cache_stats_by_dataset`.  A dataset that
-        never activated live state reports version 0 / zero watches — the
-        gauges exist from boot, they don't appear on first write.
-        """
-        stats: dict[str, dict[str, int]] = {}
-        for name in self.deployment.names():
-            if not self.deployment.describe(name)["built"]:
-                continue
-            session = self.deployment.session(name)
-            live = session.live
-            stats[name] = {
-                "dataset_version": session.dataset_version,
-                "watch_active": live.watches.active_count if live else 0,
-            }
-        return stats
 
     def invalidate(
         self,

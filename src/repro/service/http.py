@@ -258,7 +258,7 @@ class _Handler(BaseHTTPRequestHandler):
         if split.path == "/v1/healthz":
             # liveness must stay allocation-cheap and session-build-free:
             # it answers before (and instead of) the pipeline machinery
-            self._send_json(200, self.server.healthz(), ctx=ctx)
+            self._send_json(200, self.server.dispatcher.healthz(), ctx=ctx)
             return
         if split.path == "/v1/metrics":
             # scrapes bypass auth/throttling and do not count themselves
@@ -329,11 +329,13 @@ class _Handler(BaseHTTPRequestHandler):
 class ServiceHTTPServer(ThreadingHTTPServer):
     """A :class:`ThreadingHTTPServer` bound to one dispatcher.
 
-    "Dispatcher" means anything with the ``dispatch_safe(endpoint,
-    payload) -> (status, body)`` surface: the single-process
-    :class:`ServiceDispatcher` or the cluster's scatter/gather router —
-    the front end cannot tell them apart, which is how ``repro serve
-    --shards N`` reuses this file unchanged.
+    "Dispatcher" means anything with two methods: ``dispatch_safe(endpoint,
+    payload) -> (status, body)`` and ``healthz() -> body``.  The
+    single-process :class:`ServiceDispatcher` and the cluster's
+    scatter/gather router both have them — the front end cannot tell them
+    apart, which is how ``repro serve --shards N`` reuses this file
+    unchanged.  ``GET /v1/metrics`` reads the dispatcher's own aggregate
+    ``/v1/stats`` answer (:meth:`MiddlewarePipeline.metrics_text`).
 
     ``middleware`` is either a :class:`MiddlewareConfig` (the stack is
     built here, in the pinned order) or a pre-built
@@ -359,22 +361,6 @@ class ServiceHTTPServer(ThreadingHTTPServer):
             self.pipeline = middleware
         else:
             self.pipeline = build_pipeline(dispatcher, middleware)
-
-    def healthz(self) -> dict[str, Any]:
-        """The ``GET /v1/healthz`` body: pinned 200-status liveness.
-
-        Dispatchers that know more (the cluster router knows per-shard
-        readiness) provide their own ``healthz()``; the single-process
-        default reports the hosted names without building any session.
-        """
-        hook = getattr(self.dispatcher, "healthz", None)
-        if callable(hook):
-            return hook()
-        return {
-            "ok": True,
-            "role": "single-process",
-            "datasets": self.dispatcher.deployment.names(),
-        }
 
     def server_close(self) -> None:
         # a failed bind calls server_close() from inside super().__init__,

@@ -3,10 +3,11 @@
 A :class:`MetricsRegistry` is a lock-protected set of per-endpoint/status
 request counters, per-endpoint latency histograms (fixed buckets), and
 named event counters (auth failures, throttles).  :meth:`render` emits
-the text exposition format Prometheus scrapes, folding in the typed
-per-dataset :class:`~repro.core.cache.CacheStats` the serving tier
-already maintains — merged across shards on the cluster topology via
-:meth:`CacheStats.merge`, so one scrape sees the whole cache.
+the text exposition format Prometheus scrapes, folding in the
+per-dataset section of an aggregate ``/v1/stats`` body — the
+dispatcher's own answer, so ``/v1/stats`` and ``/v1/metrics`` read one
+record; on a cluster the router has already merged it across shards
+(cache counters summed, ``dataset_version`` and ``watch_active`` the max).
 
 The registry is always on: recording a request is two dict increments
 under one lock, cheap enough that the disarmed middleware stack stays
@@ -16,10 +17,7 @@ within the benchmarked overhead gate (``benchmarks/bench_service.py``).
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Mapping
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.cache import CacheStats
+from typing import Any, Mapping
 
 #: Histogram bucket upper bounds, seconds.  Spanning 1ms..10s covers a
 #: warm cache hit (~100us rides the first bucket) through a cold
@@ -92,20 +90,16 @@ class MetricsRegistry:
                 "counts": dict(self._counts),
             }
 
-    def render(
-        self,
-        cache_stats: "Mapping[str, CacheStats] | None" = None,
-        live_stats: "Mapping[str, Mapping[str, int]] | None" = None,
-    ) -> str:
+    def render(self, datasets: "Mapping[str, Any] | None" = None) -> str:
         """The Prometheus text exposition of everything this registry saw.
 
-        *cache_stats* maps dataset name → merged typed
-        :class:`CacheStats`; each counter becomes a
-        ``repro_cache_<counter>{dataset=...}`` sample.  *live_stats* maps
-        dataset name → live-mutation gauges, rendered as
-        ``repro_dataset_version{dataset=...}`` (committed-transaction
-        count; max over shards) and ``repro_watch_active{dataset=...}``
-        (registered continual queries).
+        *datasets* is an aggregate ``/v1/stats`` body.  Each entry holding
+        a ``cache`` mapping yields a ``repro_cache_<counter>{dataset=...}``
+        sample per counter, ``repro_dataset_version{dataset=...}``
+        (committed-transaction count) and ``repro_watch_active{dataset=...}``
+        (registered continual queries).  Every other entry is skipped: an
+        unbuilt dataset's metadata, the router's ``cluster`` section and
+        its ``degraded``/``missing_shards`` markers.
         """
         with self._lock:
             requests = dict(self._requests)
@@ -152,42 +146,38 @@ class MetricsRegistry:
         for event in sorted(events):
             lines.append(f"# TYPE {event} counter")
             lines.append(f"{event} {events[event]}")
-        if cache_stats:
-            first = next(iter(cache_stats.values()))
-            counter_names = list(first.as_dict())
+        built = {
+            name: info
+            for name, info in (datasets or {}).items()
+            if isinstance(info, Mapping) and isinstance(info.get("cache"), Mapping)
+        }
+        if built:
+            names = sorted(built)
+            counters = list(built[names[0]]["cache"])
             lines.append(
                 "# HELP repro_cache Summary-cache counters, by dataset "
                 "(merged across shards)."
             )
-            for counter in counter_names:
+            for counter in counters:
                 lines.append(f"# TYPE repro_cache_{counter} counter")
-                for dataset in sorted(cache_stats):
-                    value = cache_stats[dataset].as_dict()[counter]
+                for name in names:
                     lines.append(
-                        f'repro_cache_{counter}{{dataset="{_escape_label(dataset)}"}} '
-                        f"{value}"
+                        f'repro_cache_{counter}{{dataset="{_escape_label(name)}"}} '
+                        f"{built[name]['cache'][counter]}"
                     )
-        if live_stats:
-            lines.append(
-                "# HELP repro_dataset_version Committed-transaction count "
-                "per dataset (0 = as built; max over shards)."
-            )
-            lines.append("# TYPE repro_dataset_version gauge")
-            for dataset in sorted(live_stats):
-                version = live_stats[dataset].get("dataset_version", 0)
-                lines.append(
-                    f'repro_dataset_version{{dataset="{_escape_label(dataset)}"}} '
-                    f"{version}"
-                )
-            lines.append(
-                "# HELP repro_watch_active Registered continual queries "
-                "per dataset."
-            )
-            lines.append("# TYPE repro_watch_active gauge")
-            for dataset in sorted(live_stats):
-                active = live_stats[dataset].get("watch_active", 0)
-                lines.append(
-                    f'repro_watch_active{{dataset="{_escape_label(dataset)}"}} '
-                    f"{active}"
-                )
+            for gauge, description in (
+                (
+                    "dataset_version",
+                    "Committed-transaction count per dataset "
+                    "(0 = as built; max over shards).",
+                ),
+                ("watch_active", "Registered continual queries per dataset."),
+            ):
+                lines.append(f"# HELP repro_{gauge} {description}")
+                lines.append(f"# TYPE repro_{gauge} gauge")
+                for name in names:
+                    lines.append(
+                        f'repro_{gauge}{{dataset="{_escape_label(name)}"}} '
+                        f"{built[name].get(gauge, 0)}"
+                    )
         return "\n".join(lines) + "\n"

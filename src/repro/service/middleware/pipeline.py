@@ -23,6 +23,9 @@ benchmark gate its overhead in microseconds.
 
 The pipeline is itself dispatcher-shaped (:meth:`dispatch_safe` mints a
 context), so it can be stacked wherever a dispatcher is expected.
+``GET /v1/metrics`` (:meth:`metrics_text`) renders the request metrics
+above the dispatcher's own aggregate ``/v1/stats`` answer — the same
+reading ``/v1/stats`` serves, one ``/v1/stats`` per worker on a cluster.
 """
 
 from __future__ import annotations
@@ -160,34 +163,16 @@ class MiddlewarePipeline:
     def metrics_text(self) -> str:
         """The ``GET /v1/metrics`` Prometheus text body.
 
-        Cache counters come from the wrapped dispatcher's
-        ``cache_stats_by_dataset()`` hook when it has one (the
-        single-process dispatcher reads built sessions; the router merges
-        across shards).  A failing hook degrades to request metrics only —
-        a scrape must never 500 because one shard is restarting.
+        The per-dataset section renders the dispatcher's own aggregate
+        ``/v1/stats`` answer, so both endpoints read one record on either
+        topology (partial on a cluster: a shard that does not answer
+        within ``partial_patience`` is skipped).  The call bypasses the
+        middleware stack and does not count itself; a non-200 answer
+        degrades to request metrics only — a scrape must never 500
+        because one shard is restarting.
         """
-        cache_stats = None
-        hook = getattr(self.dispatcher, "cache_stats_by_dataset", None)
-        if callable(hook):
-            try:
-                cache_stats = hook()
-            except Exception:  # noqa: BLE001 - scrapes must not fail
-                cache_stats = None
-        live_stats = None
-        live_hook = getattr(self.dispatcher, "live_stats_by_dataset", None)
-        if callable(live_hook):
-            try:
-                live_stats = live_hook()
-            except Exception:  # noqa: BLE001 - scrapes must not fail
-                live_stats = None
-        return self.metrics.render(cache_stats=cache_stats, live_stats=live_stats)
-
-    def healthz(self) -> "dict[str, Any] | None":
-        """Delegate liveness to the dispatcher's hook, if it has one."""
-        hook = getattr(self.dispatcher, "healthz", None)
-        if callable(hook):
-            return hook()
-        return None
+        status, body = self.dispatcher.dispatch_safe("/v1/stats", {"allow_partial": True})
+        return self.metrics.render(body if status == 200 else None)
 
     def close(self) -> None:
         if self._access_log is not None:

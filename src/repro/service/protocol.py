@@ -103,7 +103,6 @@ _OPTION_FIELDS = (
     "backend",
     "max_results",
     "depth_limit",
-    "snapshot",
 )
 
 

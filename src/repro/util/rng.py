@@ -1,9 +1,8 @@
 """Seeded random-number helpers.
 
 All stochastic behaviour in the library (dataset generation, simulated
-evaluators, random OS sampling) flows through :func:`make_rng` /
-:func:`derive_rng` so that every experiment is reproducible bit-for-bit from
-a single integer seed.
+evaluators, random OS sampling) flows through :func:`derive_rng` so that
+every experiment is reproducible bit-for-bit from a single integer seed.
 """
 
 from __future__ import annotations
@@ -11,11 +10,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-
-
-def make_rng(seed: int | None) -> np.random.Generator:
-    """Create a NumPy Generator from an integer seed (or entropy if None)."""
-    return np.random.default_rng(seed)
 
 
 def derive_rng(seed: int, *labels: object) -> np.random.Generator:

@@ -1,24 +1,8 @@
-"""Plain-text rendering helpers for OS trees and report tables."""
+"""Plain-text rendering of report tables."""
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-
-def truncate(text: str, width: int, ellipsis: str = "...") -> str:
-    """Clip *text* to *width* characters, appending an ellipsis when clipped."""
-    if width <= 0:
-        return ""
-    if len(text) <= width:
-        return text
-    if width <= len(ellipsis):
-        return text[:width]
-    return text[: width - len(ellipsis)] + ellipsis
-
-
-def indent_block(text: str, prefix: str) -> str:
-    """Prefix every line of *text* with *prefix* (used by OS renderers)."""
-    return "\n".join(prefix + line for line in text.splitlines())
 
 
 def format_table(

@@ -8,9 +8,11 @@ single-process server and the sharded cluster.  This suite compares raw
 HTTP response bytes between the two topologies, both serving the same
 scale-0.5 DBLP recipe through a full (access-logged) pipeline.
 
-It also pins the two PR-8 cluster behaviours that cannot be seen from one
+It also pins the cluster behaviours that cannot be seen from one
 process: the request id riding router→worker hops into the workers' hop
-logs, and ``/v1/metrics`` merging ``CacheStats`` across shards.
+logs, and ``/v1/metrics`` reading the router's merged ``/v1/stats`` (one
+``/v1/stats`` per worker per scrape, and one ``dataset_version`` while
+replicas diverge).
 """
 
 from __future__ import annotations
@@ -251,6 +253,7 @@ class TestPinnedBodies:
         for field, extra in (
             ("flat", {"source": "complete", "flat": False}),
             ("parallel", {"parallel": {"workers": 4, "ordered": False}}),
+            ("snapshot", {"snapshot": False}),
         ):
             payload = {
                 "dataset": "dblp",
@@ -508,7 +511,7 @@ class TestSuccessThroughMiddleware:
 
 
 # --------------------------------------------------------------------- #
-# Cluster-only PR-8 behaviours: hop ids and merged metrics
+# Cluster-only behaviours: hop ids and merged metrics
 # --------------------------------------------------------------------- #
 class TestClusterObservability:
     def test_request_id_rides_into_worker_hop_logs(
@@ -555,3 +558,50 @@ class TestClusterObservability:
         assert 'repro_requests_total{endpoint="/v1/query",status="200"}' in text
         assert 'repro_cache_hits{dataset="dblp"}' in text
         assert 'repro_cache_result_computations{dataset="dblp"}' in text
+
+    def test_one_scrape_asks_each_worker_for_stats_once(
+        self, cluster_http, cluster
+    ) -> None:
+        running, hop_log = cluster
+
+        def stats_hops() -> int:
+            return sum(
+                json.loads(line)["endpoint"] == "/v1/stats"
+                for line in hop_log.read_text(encoding="utf-8").splitlines()
+                if line.strip()
+            )
+
+        before = stats_hops()
+        assert call(cluster_http, "/v1/metrics")[0] == 200
+        # a worker logs its hop line before it replies, so no wait is needed
+        assert stats_hops() - before == running.shards == 2
+
+    def test_stats_and_metrics_agree_while_replicas_diverge(
+        self, cluster_http, cluster
+    ) -> None:
+        """One shard one commit ahead: both endpoints read the max."""
+        running, _ = cluster
+        mutation = {
+            "dataset": "dblp",
+            "operations": [
+                {"op": "insert", "table": "author",
+                 "values": {"author_id": 20_000, "name": "Replica Probe"}}
+            ],
+        }
+        status, ahead = running.supervisor.request(1, "/v1/mutate", mutation)
+        assert status == 200, ahead
+        try:
+            status, _, raw = call(cluster_http, "/v1/stats")
+            assert status == 200
+            stats_version = json.loads(raw)["dblp"]["dataset_version"]
+            text = call(cluster_http, "/v1/metrics")[2].decode("utf-8")
+            [metrics_version] = [
+                int(line.rsplit(" ", 1)[1])
+                for line in text.splitlines()
+                if line.startswith('repro_dataset_version{dataset="dblp"}')
+            ]
+            assert stats_version == metrics_version == ahead["dataset_version"]
+        finally:
+            # re-converge the replicas for whatever runs after this test
+            status, body = running.supervisor.request(0, "/v1/mutate", mutation)
+            assert status == 200, body

@@ -16,6 +16,8 @@ the chaos vocabulary.  Worker-process faults ride :data:`FAULT_PLAN_ENV`.
 from __future__ import annotations
 
 import json
+import os
+import signal
 import threading
 import time
 import urllib.error
@@ -33,6 +35,7 @@ from repro.reliability import FAULT_PLAN_ENV, FaultPlan, FaultRule, install, uni
 from repro.service.deployment import Deployment
 from repro.service.dispatch import ServiceDispatcher
 from repro.service.http import DEADLINE_HEADER, ServiceHTTPServer
+from repro.service.middleware import build_pipeline
 from repro.service.protocol import encode_error
 
 SEED, SCALE = 7, 0.5
@@ -293,6 +296,58 @@ class TestDegradedServing:
 
 
 # --------------------------------------------------------------------- #
+# A hung (stopped, not dead) shard costs partial_patience in degraded mode
+# --------------------------------------------------------------------- #
+class TestHungShard:
+    def test_partial_mode_waits_partial_patience_for_a_hung_shard(self) -> None:
+        """A stopped worker accepts connections and never answers; in
+        degraded mode it must cost ``partial_patience``, not the budget."""
+        spec = DatasetSpec(name="dblp", database="dblp", seed=SEED, scale=0.2)
+        # a long health interval: the supervisor's liveness probe must not
+        # replace the stopped worker while the test measures it
+        with Cluster(
+            [spec], shards=2, health_interval=60.0, startup_timeout=180
+        ) as running:
+            router = ClusterRouter(
+                running.supervisor,
+                request_timeout=10.0,
+                retry_interval=0.02,
+                partial_patience=0.3,
+            )
+            query = {
+                "dataset": "dblp",
+                "keywords": KEYWORDS,
+                "options": OPTIONS,
+                "allow_partial": True,
+            }
+            status, body = router.dispatch_safe("/v1/query", query)
+            assert status == 200 and body["results"], body
+            first = body["results"][0]
+            victim = router.ring.owner("dblp", first["table"], first["row_id"])
+            pid = running.supervisor.describe()[victim]["pid"]
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                for endpoint, payload in (
+                    ("/v1/stats", {"allow_partial": True}),
+                    ("/v1/query", query),
+                ):
+                    started = time.monotonic()
+                    status, body = router.dispatch_safe(endpoint, payload)
+                    assert time.monotonic() - started < 3.0, endpoint
+                    assert status == 200, body
+                    assert body["degraded"] is True
+                    assert body["missing_shards"] == [victim]
+                started = time.monotonic()
+                text = build_pipeline(router, None).metrics_text()
+                assert time.monotonic() - started < 3.0
+                # the answering shard's reading, not request metrics alone
+                assert 'repro_cache_hits{dataset="dblp"}' in text
+            finally:
+                os.kill(pid, signal.SIGCONT)
+                router.close()
+
+
+# --------------------------------------------------------------------- #
 # healthz: per-shard states
 # --------------------------------------------------------------------- #
 class TestHealthz:
@@ -338,17 +393,11 @@ class TestHealthz:
             raise AssertionError("healthz must not build a session")
 
         deployment.session = boom  # type: ignore[method-assign]
-        server = ServiceHTTPServer(
-            ("127.0.0.1", 0), ServiceDispatcher(deployment)
-        )
-        try:
-            assert server.healthz() == {
-                "ok": True,
-                "role": "single-process",
-                "datasets": deployment.names(),
-            }
-        finally:
-            server.server_close()
+        assert ServiceDispatcher(deployment).healthz() == {
+            "ok": True,
+            "role": "single-process",
+            "datasets": deployment.names(),
+        }
 
 
 # --------------------------------------------------------------------- #

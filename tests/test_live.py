@@ -535,8 +535,10 @@ class TestClusterLive:
         assert body["error"]["type"] == "UnknownWatchError"
 
     def test_live_gauges_merge_across_shards(self, cluster) -> None:
-        stats = cluster.router.live_stats_by_dataset()
+        status, stats = cluster.dispatch_safe("/v1/stats", None)
+        assert status == 200
         assert stats["dblp"]["dataset_version"] >= 1
+        assert stats["dblp"]["watch_active"] == 0  # the watch was cancelled
 
 
 # --------------------------------------------------------------------- #

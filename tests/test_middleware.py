@@ -308,11 +308,32 @@ class TestMetrics:
         assert counts[-1] == 6  # +Inf sees everything
 
     def test_cache_stats_section(self) -> None:
+        """The per-dataset section renders an aggregate /v1/stats body:
+        built entries yield samples, everything else is skipped."""
         registry = MetricsRegistry()
-        stats = CacheStats(hits=5, misses=2)
-        text = registry.render(cache_stats={"dblp": stats})
+        body = {
+            "dblp": {
+                "dataset": "dblp",
+                "cache": CacheStats(hits=5, misses=2).as_dict(),
+                "dataset_version": 3,
+                "watch_active": 1,
+            },
+            "tpch": {"dataset": "tpch", "built": False, "reloads": 0},
+            "cluster": {"shards": 2, "ready": 1},
+            "degraded": True,
+            "missing_shards": [1],
+        }
+        text = registry.render(body)
         assert 'repro_cache_hits{dataset="dblp"} 5' in text
         assert 'repro_cache_misses{dataset="dblp"} 2' in text
+        assert 'repro_dataset_version{dataset="dblp"} 3' in text
+        assert 'repro_watch_active{dataset="dblp"} 1' in text
+        labelled = {
+            line.split('dataset="', 1)[1].split('"', 1)[0]
+            for line in text.splitlines()
+            if 'dataset="' in line
+        }
+        assert labelled == {"dblp"}
 
     def test_label_escaping(self) -> None:
         registry = MetricsRegistry()
@@ -386,26 +407,36 @@ class TestPipeline:
         assert kinds == ["AccessLogMiddleware", "AuthMiddleware", "RateLimitMiddleware"]
 
     def test_metrics_text_survives_failing_cache_hook(self) -> None:
-        class Broken(_StubDispatcher):
-            def cache_stats_by_dataset(self):
-                raise RuntimeError("shard restarting")
+        """A dispatcher that cannot answer /v1/stats (503: every shard
+        restarting) degrades the scrape to request metrics only."""
 
-        pipeline = build_pipeline(Broken(), None)
-        assert "repro_requests_total" in pipeline.metrics_text()
+        class Unavailable:
+            def dispatch_safe(self, endpoint: str, payload: object = None):
+                assert (endpoint, payload) == ("/v1/stats", {"allow_partial": True})
+                return 503, encode_error(ServiceError("shard restarting"), 503)
+
+        pipeline = build_pipeline(Unavailable(), None)
+        text = pipeline.metrics_text()
+        assert "repro_requests_total" in text
+        assert "repro_cache_" not in text and "repro_dataset_version" not in text
+        assert pipeline.metrics.snapshot()["requests"] == {}  # not self-counted
 
 
 # --------------------------------------------------------------------- #
-# Dispatcher cache hooks
+# The scrape reads the dispatcher's own /v1/stats
 # --------------------------------------------------------------------- #
 class TestDispatcherHooks:
     def test_cache_stats_by_dataset_is_non_building(self, dblp) -> None:
+        """A scrape reads the aggregate /v1/stats, which never builds a
+        dataset: no cache samples until a session exists."""
         deployment = Deployment().add("dblp", dataset=dblp)
-        dispatcher = ServiceDispatcher(deployment)
-        assert dispatcher.cache_stats_by_dataset() == {}  # nothing built
+        pipeline = build_pipeline(ServiceDispatcher(deployment), None)
+        assert "repro_cache_" not in pipeline.metrics_text()  # nothing built
+        assert deployment.describe("dblp")["built"] is False
         deployment.session("dblp")
-        stats = dispatcher.cache_stats_by_dataset()
-        assert set(stats) == {"dblp"}
-        assert isinstance(stats["dblp"], CacheStats)
+        text = pipeline.metrics_text()
+        assert 'repro_cache_hits{dataset="dblp"} 0' in text
+        assert 'repro_dataset_version{dataset="dblp"} 0' in text
 
 
 # --------------------------------------------------------------------- #

@@ -475,16 +475,6 @@ class TestDiskTierServing:
         assert result.selected_uids == fresh.selected_uids
         assert result.importance == pytest.approx(fresh.importance)
 
-    def test_snapshot_false_option_bypasses_disk(
-        self, dblp_engine, dblp_snapshot
-    ) -> None:
-        cache = SummaryCache(dblp_engine, snapshot=dblp_snapshot)
-        options = COMPLETE.replace(snapshot=False).normalized()
-        cache.run("author", 2, options)
-        stats = cache.stats()
-        assert stats.disk_hits == 0
-        assert stats.tree_generations == 1
-
     def test_absent_subject_counts_disk_miss(
         self, dblp_engine, dblp_snapshot
     ) -> None:

@@ -1,8 +1,7 @@
 """Tests for the wire protocol: codec round-trips and strict validation.
 
 The property tests pin the codec identity ``decode(encode(x)) == x`` over
-randomized options (including ``snapshot=False``),
-cursors, requests, and responses; the validation tests pin that unknown,
+randomized options, cursors, requests, and responses; the validation tests pin that unknown,
 missing, and ill-typed fields produce the 400-style
 :class:`RequestValidationError` — never a silent partial decode.
 """
@@ -47,7 +46,6 @@ query_options = st.builds(
     backend=st.sampled_from(["datagraph", "database"]),
     max_results=st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
     depth_limit=st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
-    snapshot=st.booleans(),
 )
 
 cursors = st.builds(

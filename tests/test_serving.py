@@ -357,72 +357,6 @@ class TestDiskTierConcurrency:
         cache.complete_os_flat("author", 4)
         assert cache.stats().disk_hits == 2
 
-    def test_snapshot_false_caller_never_joins_a_disk_load_flight(
-        self, dblp_engine, dblp_snapshot, monkeypatch
-    ) -> None:
-        """QueryOptions(snapshot=False) promises a fresh generation on a
-        miss; a concurrent default-options leader mid-disk-load must not
-        hand its snapshot tree to the opted-out caller (the disk flag is
-        part of the single-flight key)."""
-        generations = _slow(monkeypatch, dblp_engine, "complete_os_flat")
-        cache = SummaryCache(dblp_engine, snapshot=dblp_snapshot)
-        in_disk_load = threading.Event()
-        release_disk_load = threading.Event()
-        original = dblp_snapshot.load_flat
-
-        def gated(rds_table, row_id, *args, **kwargs):
-            in_disk_load.set()
-            release_disk_load.wait(timeout=5)
-            return original(rds_table, row_id, *args, **kwargs)
-
-        monkeypatch.setattr(dblp_snapshot, "load_flat", gated)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            leader = pool.submit(cache.complete_os_flat, "author", 5)
-            assert in_disk_load.wait(timeout=5)
-            # the leader is inside its disk load right now
-            opted_out = pool.submit(
-                lambda: cache.complete_os_flat("author", 5, snapshot=False)
-            )
-            fresh = opted_out.result(timeout=5)  # must not block on the leader
-            release_disk_load.set()
-            disk_tree = leader.result(timeout=5)
-        assert len(generations) == 1  # the opted-out caller generated
-        assert fresh is not disk_tree
-        stats = cache.stats()
-        assert stats.disk_hits == 1 and stats.tree_generations == 1
-
-    def test_snapshot_false_run_never_joins_a_disk_derived_result_flight(
-        self, dblp_engine, dblp_snapshot, monkeypatch
-    ) -> None:
-        """The result-level single-flight must split on the snapshot flag
-        too: a run(snapshot=False) arriving while a default-options leader
-        computes from the disk tree must run its own live pipeline."""
-        generations = _slow(monkeypatch, dblp_engine, "complete_os_flat")
-        cache = SummaryCache(dblp_engine, snapshot=dblp_snapshot)
-        in_disk_load = threading.Event()
-        release = threading.Event()
-        original = dblp_snapshot.load_flat
-
-        def gated(rds_table, row_id, *args, **kwargs):
-            in_disk_load.set()
-            release.wait(timeout=5)
-            return original(rds_table, row_id, *args, **kwargs)
-
-        monkeypatch.setattr(dblp_snapshot, "load_flat", gated)
-        options = QueryOptions(l=6, source=Source.COMPLETE).normalized()
-        opted_out = options.replace(snapshot=False).normalized()
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            leader = pool.submit(cache.run, "author", 6, options)
-            assert in_disk_load.wait(timeout=5)
-            fresh = pool.submit(cache.run, "author", 6, opted_out).result(timeout=5)
-            release.set()
-            from_disk = leader.result(timeout=5)
-        assert len(generations) == 1  # the opted-out run regenerated
-        assert fresh.selected_uids == from_disk.selected_uids  # same answer
-        stats = cache.stats()
-        assert stats.result_computations == 2  # two independent pipelines
-        assert stats.tree_generations == 1 and stats.disk_hits == 1
-
     def test_zipfian_hammer_disk_tier_no_duplicate_loads(
         self, dblp_engine, dblp_snapshot, monkeypatch
     ) -> None:

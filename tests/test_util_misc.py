@@ -1,18 +1,12 @@
-"""Tests for RNG derivation, timing, and text helpers."""
+"""Tests for RNG derivation and table rendering."""
 
 from __future__ import annotations
 
-import time
-
-from repro.util.rng import derive_rng, make_rng
-from repro.util.text import format_table, indent_block, truncate
-from repro.util.timing import Stopwatch, TimingBreakdown
+from repro.util.rng import derive_rng
+from repro.util.text import format_table
 
 
 class TestRng:
-    def test_make_rng_deterministic(self) -> None:
-        assert make_rng(42).integers(1_000_000) == make_rng(42).integers(1_000_000)
-
     def test_derive_rng_deterministic(self) -> None:
         a = derive_rng(7, "dblp", "paper").integers(1_000_000)
         b = derive_rng(7, "dblp", "paper").integers(1_000_000)
@@ -29,42 +23,7 @@ class TestRng:
         assert a != b
 
 
-class TestTiming:
-    def test_stopwatch_measures_elapsed(self) -> None:
-        with Stopwatch() as sw:
-            time.sleep(0.01)
-        assert sw.elapsed >= 0.005
-
-    def test_breakdown_accumulates(self) -> None:
-        breakdown = TimingBreakdown()
-        breakdown.add("generation", 1.0)
-        breakdown.add("generation", 0.5)
-        breakdown.add("computation", 0.25)
-        assert breakdown.phases["generation"] == 1.5
-        assert breakdown.total == 1.75
-        assert breakdown.as_row()["total"] == 1.75
-
-    def test_breakdown_context_manager(self) -> None:
-        breakdown = TimingBreakdown()
-        with breakdown.time("phase"):
-            time.sleep(0.005)
-        assert breakdown.phases["phase"] > 0.0
-
-
 class TestText:
-    def test_truncate_short_text_unchanged(self) -> None:
-        assert truncate("abc", 10) == "abc"
-
-    def test_truncate_clips_with_ellipsis(self) -> None:
-        assert truncate("abcdefgh", 6) == "abc..."[:6]
-        assert truncate("abcdefgh", 6).endswith("...")
-
-    def test_truncate_zero_width(self) -> None:
-        assert truncate("abc", 0) == ""
-
-    def test_indent_block(self) -> None:
-        assert indent_block("a\nb", "> ") == "> a\n> b"
-
     def test_format_table_alignment(self) -> None:
         table = format_table(["name", "value"], [["x", 1.5], ["longer", 2.25]])
         lines = table.splitlines()
