@@ -106,7 +106,7 @@ def test_fig9e_small_author_os(benchmark, dblp_engine_bench) -> None:
 @pytest.mark.benchmark(group="fig09")
 def test_fig9f_settings(benchmark, dblp_bench, dblp_settings) -> None:
     """Figure 9(f): average Author-OS quality per ranking setting."""
-    from repro.core.engine import SizeLEngine
+    from repro.core.builder import EngineBuilder
 
     def experiment():
         results = []
@@ -114,7 +114,7 @@ def test_fig9f_settings(benchmark, dblp_bench, dblp_settings) -> None:
             # author-only G_DS: fig 9(f) samples only Author subjects, and
             # this loop is timed — don't build the unused Paper G_DS here
             engine = (
-                SizeLEngine.builder()
+                EngineBuilder()
                 .with_database(dblp_bench.db)
                 .with_gds("author", dblp_bench.author_gds())
                 .with_store(store)

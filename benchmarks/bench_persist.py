@@ -66,9 +66,7 @@ KEYWORDS = "Faloutsos"
 #: minimum filters scheduler noise out, same as the other benches.
 REPEATS = 3
 
-QUERY_OPTIONS = QueryOptions(
-    l=SIZE_L, source=Source.COMPLETE, max_results=3
-).normalized()
+QUERY_OPTIONS = QueryOptions(l=SIZE_L, source=Source.COMPLETE, max_results=3)
 
 
 def build_fixture(quick: bool) -> dict:

@@ -130,7 +130,7 @@ def bench_dispatch(session: Session, stream: list[str]) -> dict:
     deployment = Deployment().add_session("dblp", session)
     dispatcher = ServiceDispatcher(deployment)
     options = QueryOptions(l=SIZE_L)
-    wire_options = options.normalized().as_dict()
+    wire_options = options.as_dict()
 
     # Warm every subject in the stream once so both measured passes pay
     # cache hits — what is left over IS the serve-path overhead.
@@ -192,7 +192,7 @@ def bench_middleware(session: Session, stream: list[str]) -> dict:
     deployment = Deployment().add_session("dblp", session)
     dispatcher = ServiceDispatcher(deployment)
     options = QueryOptions(l=SIZE_L)
-    wire_options = options.normalized().as_dict()
+    wire_options = options.as_dict()
     for keywords in set(stream):
         session.keyword_query(keywords, options=options)
     payloads = [
@@ -266,7 +266,7 @@ def bench_codec(rounds: int) -> dict:
     request = QueryRequest(
         dataset="dblp",
         keywords=("Faloutsos",),
-        options=QueryOptions(l=SIZE_L).normalized(),
+        options=QueryOptions(l=SIZE_L),
         page_size=3,
     )
     start = time.perf_counter()

@@ -78,9 +78,7 @@ KEYWORDS = "Faloutsos"
 POOL_FRACTIONS = (0.1, 0.5, 1.0)
 REPEATS = 2
 
-QUERY_OPTIONS = QueryOptions(
-    l=SIZE_L, source=Source.PRELIM, max_results=5
-).normalized()
+QUERY_OPTIONS = QueryOptions(l=SIZE_L, source=Source.PRELIM, max_results=5)
 #: full-mode floor pinned by the acceptance criteria
 FULL_TUPLE_FLOOR = 100_000
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from benchlib import BENCH_SCALE
-from repro.core.engine import SizeLEngine
+from repro.core.builder import EngineBuilder
 from repro.datasets.dblp import DBLPConfig, generate_dblp
 from repro.datasets.tpch import TPCHConfig, generate_tpch
 from repro.ranking.objectrank import (
@@ -43,7 +43,7 @@ def dblp_settings(dblp_bench):
 
 @pytest.fixture(scope="session")
 def dblp_engine_bench(dblp_bench, dblp_settings):
-    return SizeLEngine.from_dataset(dblp_bench, store=dblp_settings["GA1-d1"])
+    return EngineBuilder.from_dataset(dblp_bench, store=dblp_settings["GA1-d1"]).build()
 
 
 @pytest.fixture(scope="session")
@@ -66,4 +66,4 @@ def tpch_settings(tpch_bench):
 
 @pytest.fixture(scope="session")
 def tpch_engine_bench(tpch_bench, tpch_settings):
-    return SizeLEngine.from_dataset(tpch_bench, store=tpch_settings["GA1-d1"])
+    return EngineBuilder.from_dataset(tpch_bench, store=tpch_settings["GA1-d1"]).build()

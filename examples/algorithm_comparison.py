@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core import SizeLEngine
+from repro.core import EngineBuilder
 from repro.core.bottom_up import bottom_up_size_l
 from repro.core.dp import optimal_size_l
 from repro.core.top_path import top_path_size_l
@@ -23,7 +23,7 @@ from repro.util.text import format_table
 def main() -> None:
     data = generate_dblp(DBLPConfig(n_authors=150, n_papers=400, seed=7))
     # from_dataset wires the G_DS presets and the default ObjectRank store.
-    engine = SizeLEngine.from_dataset(data)
+    engine = EngineBuilder.from_dataset(data).build()
 
     subject_row = 0  # Christos Faloutsos - the largest OS in the database
     complete = engine.complete_os("author", subject_row)

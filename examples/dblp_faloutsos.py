@@ -15,14 +15,16 @@ Run:  python examples/dblp_faloutsos.py
 
 from __future__ import annotations
 
-from repro.core import Algorithm, QueryOptions, SizeLEngine, Source
+from repro import Algorithm, QueryOptions, Session, Source
 from repro.datasets.dblp import DBLPConfig, generate_dblp
 
 
 def main() -> None:
     data = generate_dblp(DBLPConfig(n_authors=120, n_papers=300, seed=7))
-    # from_dataset wires the G_DS presets and the default ObjectRank store.
-    engine = SizeLEngine.from_dataset(data)
+    # from_dataset wires the G_DS presets and the default ObjectRank store;
+    # the engine underneath exposes the pipeline's individual stages.
+    session = Session.from_dataset(data)
+    engine = session.engine
 
     print("=" * 72)
     print("Example 3 - R-KwS result for Q1 'Faloutsos': matching tuples only")
@@ -44,7 +46,7 @@ def main() -> None:
     print("=" * 72)
     print("Example 5 - size-15 OSs for every Faloutsos brother")
     print("=" * 72)
-    for entry in engine.keyword_query("Faloutsos", l=15):
+    for entry in session.keyword_query("Faloutsos", l=15):
         print()
         print(entry.result.render())
 
@@ -73,7 +75,7 @@ def main() -> None:
     for algorithm in Algorithm:
         for source in Source:
             options = QueryOptions(l=15, algorithm=algorithm, source=source)
-            result = engine.size_l("author", christos.row_id, options=options)
+            result = session.size_l("author", christos.row_id, options=options)
             print(
                 f"  {algorithm.value:>20} on {source.value:8}: "
                 f"Im(S) = {result.importance:8.2f}  "

@@ -21,15 +21,18 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro.core import QueryOptions, SizeLEngine, Source, word_budget_summary
+from repro import QueryOptions, Session, Source
+from repro.core import word_budget_summary
 from repro.datasets.tpch import TPCHConfig, generate_tpch
 from repro.db.csvio import export_table
 
 
 def main() -> None:
     data = generate_tpch(TPCHConfig(scale_factor=0.002, seed=11))
-    # from_dataset wires the G_DS presets and the default ValueRank store.
-    engine = SizeLEngine.from_dataset(data)
+    # from_dataset wires the G_DS presets and the default ValueRank store;
+    # the engine underneath exposes the pipeline's individual stages.
+    session = Session.from_dataset(data)
+    engine = session.engine
 
     subject_name = "Customer#000007"
     matches = engine.searcher.search(subject_name)
@@ -54,7 +57,7 @@ def main() -> None:
     # 2. Case-officer summaries.
     print()
     print("Executive summary (size-10):")
-    summary = engine.size_l(
+    summary = session.size_l(
         "customer", subject.row_id, options=QueryOptions(l=10, source=Source.PRELIM)
     )
     print(summary.render())

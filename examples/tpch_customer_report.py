@@ -15,7 +15,7 @@ Run:  python examples/tpch_customer_report.py
 
 from __future__ import annotations
 
-from repro.core import QueryOptions, SizeLEngine, Source
+from repro import QueryOptions, Session, Source
 from repro.datasets.tpch import TPCHConfig, generate_tpch
 
 
@@ -23,8 +23,10 @@ def main() -> None:
     data = generate_tpch(TPCHConfig(scale_factor=0.002, seed=11))
     print(f"Database: {data.db}")
 
-    # from_dataset wires the G_DS presets and the default ValueRank store.
-    engine = SizeLEngine.from_dataset(data)
+    # from_dataset wires the G_DS presets and the default ValueRank store;
+    # the engine underneath exposes the pipeline's individual stages.
+    session = Session.from_dataset(data)
+    engine = session.engine
 
     print()
     print("Customer G_DS(0.7) - Figure 12's theta cut:")
@@ -48,16 +50,16 @@ def main() -> None:
     print()
     print("Size-12 summary (ValueRank):")
     report_options = QueryOptions(l=12, source=Source.PRELIM)
-    result = engine.size_l("customer", busiest_row, options=report_options)
+    result = session.size_l("customer", busiest_row, options=report_options)
     print(result.render())
 
     # Value-blind contrast: the same summary under the ObjectRank G_A2.
     from repro.ranking import compute_objectrank
 
-    blind_engine = SizeLEngine.from_dataset(
+    blind_session = Session.from_dataset(
         data, store=compute_objectrank(data.db, data.ga2())
     )
-    blind = blind_engine.size_l("customer", busiest_row, options=report_options)
+    blind = blind_session.size_l("customer", busiest_row, options=report_options)
     shared = len(result.selected_uids & blind.selected_uids)
     print()
     print(
@@ -67,7 +69,7 @@ def main() -> None:
     )
 
     # A supplier summary from the other G_DS.
-    supplier_result = engine.keyword_query("Supplier#000001", l=10)[0]
+    supplier_result = session.keyword_query("Supplier#000001", l=10)[0]
     print()
     print("Supplier summary (l = 10):")
     print(supplier_result.result.render())

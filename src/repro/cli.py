@@ -119,7 +119,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         source=args.source,
         backend=args.backend,
         max_results=args.max_results,
-    ).normalized()
+    )
     session = _load_session(args)
     rank = 0
     for entry in session.iter_keyword_query(args.keywords, options=options):
@@ -283,6 +283,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "--db cannot be combined with --shards > 1; serve an "
                 "imported dataset from a single process"
             )
+        if args.pool_bytes is not None:
+            # nor does it carry a pool size: workers would serve fully
+            # resident and report zero pool counters
+            raise ReproError(
+                "--pool-bytes cannot be combined with --shards > 1; the "
+                "buffer pool serves a single process only"
+            )
         return _serve_cluster(args)
     from repro.service import Deployment, create_server
 
@@ -419,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="serve the data graph through a buffer pool of this capacity "
         "instead of fully resident (page hit/miss/eviction counters "
-        "appear in /v1/metrics)",
+        "appear in /v1/metrics); single process only: serve exits 2 "
+        "with --shards > 1",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

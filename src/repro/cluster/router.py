@@ -706,7 +706,7 @@ class ClusterRouter:
     def _invalidate(self, payload: Any, budget: _Budget) -> tuple[int, dict[str, Any]]:
         row_scoped = (
             isinstance(payload, dict)
-            and set(payload) <= {"dataset", "table", "row_id"}
+            and set(payload) <= {"protocol_version", "dataset", "table", "row_id"}
             and isinstance(payload.get("dataset"), str)
             and isinstance(payload.get("table"), str)
             and _is_row_id(payload.get("row_id"))

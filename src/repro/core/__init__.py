@@ -15,10 +15,12 @@ Modules:
   Avoidance Conditions 1 and 2;
 * :mod:`repro.core.brute_force` — literal exponential optimum (test oracle);
 * :mod:`repro.core.registry` — open algorithm/backend registries (plugins);
-* :mod:`repro.core.options` — typed query options (:class:`QueryOptions`,
-  the :class:`Algorithm`/:class:`Source`/:class:`Backend` enums,
-  :class:`ResultStats`);
-* :mod:`repro.core.engine` — the public query engine: keyword → size-l OSs;
+* :mod:`repro.core.options` — typed query options, valid by construction
+  (:class:`QueryOptions`, the :class:`Algorithm`/:class:`Source`/
+  :class:`Backend` enums, :class:`ResultStats`);
+* :mod:`repro.core.engine` — the uncached pipeline stages (keyword search,
+  OS generation, size-l selection) that :class:`~repro.session.Session`,
+  the one in-process query API, caches and loops over;
 * :mod:`repro.core.builder` — :class:`EngineBuilder`, the single
   construction path for engines and sessions;
 * :mod:`repro.core.snippet` — word/attribute-budget summaries (Section 7

@@ -132,7 +132,7 @@ class EngineBuilder:
 
     def with_defaults(self, defaults: QueryOptions) -> "EngineBuilder":
         """Seed every query of a built Session with these options."""
-        self._defaults = defaults.normalized()
+        self._defaults = defaults
         return self
 
     def with_cache_size(self, cache_size: int) -> "EngineBuilder":

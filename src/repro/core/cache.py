@@ -45,9 +45,9 @@ counted as ``disk_hits``/``disk_misses``/``snapshot_stale`` in
 :meth:`stats`.  ``invalidate`` masks the matching snapshot entries, so a
 scoped refresh never resurrects a stale disk tree.
 
-All algorithm dispatch flows through :mod:`repro.core.registry`, and
-options are validated *before* any OS generation (a bad algorithm name
-never costs a complete-OS traversal).
+All algorithm dispatch flows through :mod:`repro.core.registry`, and a
+:class:`~repro.core.options.QueryOptions` is valid by construction (a bad
+algorithm name never reaches a complete-OS traversal).
 """
 
 from __future__ import annotations
@@ -436,17 +436,16 @@ class SummaryCache:
     ) -> SizeLResult:
         """Memoised generate+summarise pipeline under *options*.
 
-        Validation happens up front (registry lookups, ``l >= 1``) so bad
-        input never triggers an expensive OS generation.  The
-        complete-source / data-graph path reuses the cached complete OS;
-        everything else delegates to the engine and memoises the result.
+        *options* were validated when constructed, so bad input never
+        reaches an expensive OS generation.  The complete-source /
+        data-graph path reuses the cached complete OS; everything else
+        delegates to the engine and memoises the result.
 
         A miss returns the memoised object itself (``stats.cached`` stays
         ``False``); hits — including threads that waited on the miss's
         in-flight computation — return a per-call copy with a fresh stats
         record marked ``cached=True``.
         """
-        options = options.normalized()
         subject = (rds_table, row_id)
         result_key = options.cache_key()
 

@@ -1,4 +1,4 @@
-"""The public size-l OS query engine.
+"""The size-l OS engine: the uncached stages of the query pipeline.
 
 Ties every subsystem together: keyword search resolves Data Subjects, the
 θ-pruned and annotated G_DS drives OS generation (complete or prelim-l,
@@ -10,10 +10,16 @@ paper's end-to-end pipeline:
       → three Author t_DS matches
       → three size-15 OSs (Example 5).
 
-Algorithm and backend selection flow through :mod:`repro.core.registry`;
-every knob of a query travels in one
-:class:`~repro.core.options.QueryOptions`.  Construction goes through
-:class:`~repro.core.builder.EngineBuilder` / :meth:`SizeLEngine.from_dataset`.
+The engine holds the uncached stages themselves:
+:meth:`~SizeLEngine.search_matches` and :meth:`~SizeLEngine.run`
+(generate + :meth:`~SizeLEngine.summarise`) under explicit
+:class:`~repro.core.options.QueryOptions`, and the generators
+:meth:`~SizeLEngine.complete_os`, :meth:`~SizeLEngine.complete_os_flat` and
+:meth:`~SizeLEngine.prelim_os`.  Defaults, the cache and the keyword loop
+live in :class:`~repro.session.Session`, the one in-process query API;
+``Session(engine)`` wraps an engine in one line.  Engines are built by
+:class:`~repro.core.builder.EngineBuilder` or the :class:`SizeLEngine`
+constructor.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import Any
 
 from repro.core.generation import (
     DataGraphBackend,
@@ -29,13 +35,7 @@ from repro.core.generation import (
     generate_os,
     generate_os_flat,
 )
-from repro.core.options import (
-    Backend,
-    QueryOptions,
-    ResultStats,
-    Source,
-    resolve_options,
-)
+from repro.core.options import Backend, QueryOptions, ResultStats, Source
 from repro.core.os_tree import FlatOS, SizeLResult, validate_l
 from repro.core.prelim import PrelimStats, generate_prelim_os
 from repro.core.registry import get_algorithm, get_backend_factory
@@ -50,14 +50,6 @@ from repro.reliability.deadline import check_deadline
 from repro.schema_graph.gds import GDS
 from repro.search.inverted_index import BaseInvertedIndex
 from repro.search.keyword import DataSubjectMatch, KeywordSearcher
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.builder import EngineBuilder
-
-#: ``engine.size_l`` keeps the pre-QueryOptions default of summarising the
-#: complete OS; the end-to-end keyword paradigm defaults to prelim.
-_SIZE_L_DEFAULTS = QueryOptions(source=Source.COMPLETE)
-_KEYWORD_DEFAULTS = QueryOptions(source=Source.PRELIM)
 
 
 @dataclass
@@ -86,8 +78,8 @@ class SizeLEngine:
         Optional prebuilt data graph; built lazily when the data-graph
         backend is first used.
 
-    Prefer :meth:`from_dataset` / :class:`~repro.core.builder.EngineBuilder`
-    over calling this constructor directly.
+    :class:`~repro.core.builder.EngineBuilder` wires these from a
+    dataset's presets (and attaches snapshots and buffer pools).
     """
 
     def __init__(
@@ -122,34 +114,6 @@ class SizeLEngine:
         self.searcher = KeywordSearcher(
             db, list(self.gds_by_root), store, index=search_index
         )
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_dataset(
-        cls,
-        dataset: Any,
-        *,
-        store: ImportanceStore | None = None,
-        theta: float = 0.7,
-        data_graph: DataGraph | None = None,
-    ) -> "SizeLEngine":
-        """Build an engine from a dataset exposing ``db`` / ``default_gds()``
-        / ``default_store()`` (the synthetic DBLP and TPC-H datasets do)."""
-        from repro.core.builder import EngineBuilder
-
-        builder = EngineBuilder.from_dataset(dataset, store=store, theta=theta)
-        if data_graph is not None:
-            builder.with_data_graph(data_graph)
-        return builder.build()
-
-    @classmethod
-    def builder(cls) -> "EngineBuilder":
-        """A fresh :class:`~repro.core.builder.EngineBuilder`."""
-        from repro.core.builder import EngineBuilder
-
-        return EngineBuilder()
 
     # ------------------------------------------------------------------ #
     # Backends
@@ -250,27 +214,12 @@ class SizeLEngine:
     # ------------------------------------------------------------------ #
     # Size-l computation
     # ------------------------------------------------------------------ #
-    def size_l(
-        self,
-        rds_table: str,
-        row_id: int,
-        l: int | None = None,  # noqa: E741
-        options: QueryOptions | None = None,
-    ) -> SizeLResult:
-        """Generate + summarise: the full pipeline for one Data Subject.
-
-        Without *options* this summarises the complete OS (Algorithm 5),
-        matching the pre-``QueryOptions`` behaviour.
-        """
-        opts = resolve_options(options, defaults=_SIZE_L_DEFAULTS, l=l)
-        return self.run(rds_table, row_id, opts)
-
     def run(
         self, rds_table: str, row_id: int, options: QueryOptions
     ) -> SizeLResult:
-        """The generate+summarise pipeline under *options*."""
+        """Generate + summarise, uncached: the full pipeline for one Data
+        Subject under *options*."""
         check_deadline()  # cancel before generation, the expensive half
-        options = options.normalized()  # idempotent; catches typo'd sources
         gen_start = perf_counter()
         prelim_stats: PrelimStats | None = None
         if options.source_name == Source.COMPLETE.value:
@@ -301,7 +250,7 @@ class SizeLEngine:
         prelim: PrelimStats | None = None,
     ) -> SizeLResult:
         """Run the registered size-l algorithm on *os_tree* and stamp its
-        :class:`ResultStats`; *options* must be normalized.
+        :class:`ResultStats`.
 
         The select half of :meth:`run`, shared with the cache, which hands
         in a tree it holds or loaded from a snapshot.  The registry is read
@@ -322,37 +271,17 @@ class SizeLEngine:
         return result
 
     # ------------------------------------------------------------------ #
-    # Keyword queries (the paper's end-to-end paradigm)
+    # Keyword search (the front half of the paper's end-to-end paradigm)
     # ------------------------------------------------------------------ #
-    def iter_keyword_query(
-        self,
-        keywords: list[str] | str,
-        l: int | None = None,  # noqa: E741
-        options: QueryOptions | None = None,
-        *,
-        max_results: int | None = None,
-    ) -> Iterator[KeywordResult]:
-        """Stream a size-l OS keyword query, one result per matching DS.
-
-        Options are validated eagerly (before this returns); each
-        :class:`KeywordResult` is yielded as soon as its size-l OS is
-        computed, so the first result is available while later OSs are
-        still being generated.  Results follow the global importance of
-        the t_DS tuple (how the OS paradigm ranks its result list).
-        """
-        opts = resolve_options(
-            options, defaults=_KEYWORD_DEFAULTS, l=l, max_results=max_results
-        )
-        return self._iter_keyword_query(keywords, opts)
-
     def search_matches(
         self, keywords: list[str] | str, options: QueryOptions
     ) -> list[DataSubjectMatch]:
         """The ranked t_DS matches of a keyword query.
 
-        Applies ``options.max_results`` truncation; this is the shared
-        front half of the keyword pipeline — the keyword loop below and
-        the service dispatcher's paged query both start from it.
+        Results follow the global importance of the t_DS tuple (how the
+        OS paradigm ranks its result list), truncated to
+        ``options.max_results``.  The Session's keyword loop and the
+        service dispatcher's paged query both start from it.
         """
         check_deadline()
         with self.live_guard.read():
@@ -360,32 +289,6 @@ class SizeLEngine:
         if options.max_results is not None:
             matches = matches[: options.max_results]
         return matches
-
-    def _iter_keyword_query(
-        self,
-        keywords: list[str] | str,
-        options: QueryOptions,
-        run: "Callable[[str, int, QueryOptions], SizeLResult] | None" = None,
-    ) -> Iterator[KeywordResult]:
-        """Shared keyword-query loop; *run* lets a Session substitute its
-        cached pipeline for the engine's."""
-        run = run if run is not None else self.run
-        for match in self.search_matches(keywords, options):
-            result = run(match.table, match.row_id, options)
-            yield KeywordResult(match=match, result=result)
-
-    def keyword_query(
-        self,
-        keywords: list[str] | str,
-        l: int | None = None,  # noqa: E741
-        options: QueryOptions | None = None,
-        *,
-        max_results: int | None = None,
-    ) -> list[KeywordResult]:
-        """Run a size-l OS keyword query: one size-l OS per matching DS."""
-        return list(
-            self.iter_keyword_query(keywords, l, options, max_results=max_results)
-        )
 
     def describe(self) -> dict[str, Any]:
         """A small status snapshot (used by examples and docs)."""

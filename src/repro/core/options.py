@@ -1,10 +1,12 @@
-"""Typed query options: the public API's single validation path.
+"""Typed query options, valid by construction.
 
-Every entry point (``SizeLEngine.size_l``, ``keyword_query``,
-``Session``, the CLI) funnels its knobs into a :class:`QueryOptions` and
-calls :meth:`QueryOptions.normalized` exactly once, so "unknown
-algorithm", "unknown source", "unknown backend", and ``l >= 1`` checks
-happen in one place — *before* any expensive OS generation.
+Every entry point (``Session``, the wire codec, the CLI) funnels its
+knobs into a :class:`QueryOptions`, whose ``__post_init__`` runs the
+"unknown algorithm", "unknown source", "unknown backend", and ``l >= 1``
+checks and coerces built-in names to their enums.  Construction,
+:meth:`QueryOptions.replace` and wire decoding all pass through it, so
+any ``QueryOptions`` that exists is valid, and a bad knob fails *before*
+any expensive OS generation.
 
 ``algorithm`` and ``backend`` accept either the built-in enums
 (:class:`Algorithm`, :class:`Backend`) or the string name of anything
@@ -96,11 +98,11 @@ def _normalize_backend(value: object) -> Backend | str:
 
 @dataclass(frozen=True)
 class QueryOptions:
-    """All knobs of a size-l query, validated in one place.
+    """All knobs of a size-l query, validated when constructed.
 
-    The defaults follow the paper's end-to-end paradigm (Update Top-Path-l
-    over a prelim-l OS from the data-graph backend); ``SizeLEngine.size_l``
-    defaults to the complete source for backward compatibility.
+    The defaults are the paper's end-to-end paradigm (Update Top-Path-l
+    over a prelim-l OS from the data-graph backend) and every entry point
+    shares them.
     """
 
     l: int = 10  # noqa: E741 - paper notation
@@ -110,17 +112,18 @@ class QueryOptions:
     max_results: int | None = None
     depth_limit: int | None = None
 
-    def normalized(self) -> "QueryOptions":
+    def __post_init__(self) -> None:
         """Validate every field and coerce strings to enums where built-in.
 
         Raises :class:`~repro.errors.SummaryError` (or its
         :class:`~repro.errors.InvalidSizeError` subclass for bad ``l``)
-        with the library's uniform messages.  Idempotent.
+        with the library's uniform messages.
         """
         validate_l(self.l)
-        algorithm = _normalize_algorithm(self.algorithm)
-        source = _normalize_source(self.source)
-        backend = _normalize_backend(self.backend)
+        # frozen: the canonical enums are written through object.__setattr__
+        object.__setattr__(self, "algorithm", _normalize_algorithm(self.algorithm))
+        object.__setattr__(self, "source", _normalize_source(self.source))
+        object.__setattr__(self, "backend", _normalize_backend(self.backend))
         if self.max_results is not None and (
             not isinstance(self.max_results, int)
             or isinstance(self.max_results, bool)
@@ -139,9 +142,6 @@ class QueryOptions:
                 f"depth_limit must be a non-negative integer or None, "
                 f"got {self.depth_limit!r}"
             )
-        return dataclasses.replace(
-            self, algorithm=algorithm, source=source, backend=backend
-        )
 
     def replace(self, **changes: Any) -> "QueryOptions":
         """A copy with *changes* applied (``dataclasses.replace``)."""
@@ -197,8 +197,8 @@ def resolve_options(
     l: int | None = None,  # noqa: E741 - paper notation
     max_results: int | None = None,
 ) -> QueryOptions:
-    """The normalized options of one call: *options* (else *defaults*),
-    with the per-call ``l`` and ``max_results`` applied on top."""
+    """The options of one call: *options* (else *defaults*), with the
+    per-call ``l`` and ``max_results`` applied on top."""
     if options is not None and not isinstance(options, QueryOptions):
         raise SummaryError(f"options must be a QueryOptions, got {options!r}")
     merged = options if options is not None else defaults
@@ -207,9 +207,7 @@ def resolve_options(
         changes["l"] = l
     if max_results is not None:
         changes["max_results"] = max_results
-    if changes:
-        merged = merged.replace(**changes)
-    return merged.normalized()
+    return merged.replace(**changes) if changes else merged
 
 
 @dataclass

@@ -3,9 +3,10 @@
 The engine used to hard-code an ``ALGORITHMS`` dict; these registries
 replace it with an open extension point.  Third-party code registers a new
 size-l algorithm or storage backend under a name and it becomes selectable
-from :class:`~repro.core.engine.SizeLEngine`,
-:class:`~repro.session.Session`, and the CLI (whose ``--algorithm`` /
-``--backend`` choices derive from here) without touching ``repro`` source::
+in :class:`~repro.core.options.QueryOptions` — so from
+:class:`~repro.session.Session`, the wire protocol, and the CLI (whose
+``--algorithm`` / ``--backend`` choices derive from here) — without
+touching ``repro`` source::
 
     from repro import register_algorithm
 
@@ -21,7 +22,9 @@ Algorithm entries are callables ``(flat, l) -> SizeLResult`` over a
 columnar :class:`~repro.core.os_tree.FlatOS` (``flat.to_object_summary()``
 is one call away for node-walking code); backend
 entries are factories ``(engine) -> GenerationBackend`` (the engine hands
-them its database, data graph, and query interface).
+them its database, data graph, and query interface).  A name is checked
+when a ``QueryOptions`` naming it is built; one unregistered afterwards
+fails at run time with the same "unknown ..." :class:`SummaryError`.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from repro.search.keyword import DataSubjectMatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import SizeLEngine
+    from repro.core.options import QueryOptions
 
 
 def rank_data_subjects(
@@ -33,24 +34,19 @@ def rank_data_subjects(
 def rank_by_summary_importance(
     engine: "SizeLEngine",
     matches: list[DataSubjectMatch],
-    l: int,  # noqa: E741
+    options: "QueryOptions",
     k: int | None = None,
-    algorithm: str = "top_path",
-    source: str = "prelim",
 ) -> list[tuple[DataSubjectMatch, SizeLResult]]:
     """Combined size-l + top-k ranking: order DSs by their size-l OS's Im(S).
 
-    Computes a size-l OS per match and sorts by summary importance.  With
-    ``k`` set, only the k best pairs are returned (all summaries are still
-    computed; a thresholded early-termination scheme is a further
-    optimisation the paper leaves open).
+    Computes a size-l OS per match under *options* (uncached, through
+    ``engine.run``) and sorts by summary importance.  With ``k`` set, only
+    the k best pairs are returned (all summaries are still computed; a
+    thresholded early-termination scheme is a further optimisation the
+    paper leaves open).
     """
-    from repro.core.options import QueryOptions
-
-    options = QueryOptions(l=l, algorithm=algorithm, source=source).normalized()
-    scored: list[tuple[DataSubjectMatch, SizeLResult]] = []
-    for match in matches:
-        result = engine.run(match.table, match.row_id, options)
-        scored.append((match, result))
+    scored = [
+        (match, engine.run(match.table, match.row_id, options)) for match in matches
+    ]
     scored.sort(key=lambda pair: (-pair[1].importance, pair[0].table, pair[0].row_id))
     return scored if k is None else scored[:k]

@@ -29,7 +29,7 @@ this layer rather than into Session internals.
 
 from repro.service.deployment import Deployment
 from repro.service.dispatch import ServiceDispatcher
-from repro.service.http import create_server, serve
+from repro.service.http import create_server
 from repro.service.middleware import (
     MiddlewareConfig,
     MiddlewarePipeline,
@@ -73,5 +73,4 @@ __all__ = [
     "decode_request",
     "encode_error",
     "encode_response",
-    "serve",
 ]

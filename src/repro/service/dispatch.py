@@ -76,17 +76,21 @@ from repro.service.protocol import (
     BatchRequest,
     BatchResponse,
     Cursor,
+    InvalidateRequest,
     MutateRequest,
     QueryRequest,
     QueryResponse,
+    ReloadRequest,
     SizeLRequest,
     SizeLResponse,
     WatchCancelRequest,
     WatchPollRequest,
     WatchRequest,
     decode_batch_request,
+    decode_invalidate_request,
     decode_mutate_request,
     decode_query_request,
+    decode_reload_request,
     decode_size_l_request,
     decode_watch_cancel_request,
     decode_watch_poll_request,
@@ -381,23 +385,15 @@ class ServiceDispatcher:
             "datasets": self.deployment.names(),
         }
 
-    def invalidate(
-        self,
-        dataset: str,
-        rds_table: str | None = None,
-        row_id: int | None = None,
-    ) -> dict[str, Any]:
-        try:
-            self.deployment.invalidate(dataset, rds_table, row_id)
-        except ValueError as exc:  # row_id without table — a client error
-            raise RequestValidationError(str(exc)) from exc
+    def invalidate(self, request: InvalidateRequest) -> dict[str, Any]:
+        self.deployment.invalidate(request.dataset, request.table, request.row_id)
         return {
-            "dataset": dataset,
-            "invalidated": {"table": rds_table, "row_id": row_id},
+            "dataset": request.dataset,
+            "invalidated": {"table": request.table, "row_id": request.row_id},
         }
 
-    def reload(self, dataset: str) -> dict[str, Any]:
-        return self.deployment.reload(dataset)
+    def reload(self, request: ReloadRequest) -> dict[str, Any]:
+        return self.deployment.reload(request.dataset)
 
     # ------------------------------------------------------------------ #
     # Dict layer
@@ -460,24 +456,9 @@ class ServiceDispatcher:
                 dataset = payload.get("dataset")
             return self.stats(dataset)
         if endpoint == "/v1/admin/invalidate":
-            if not isinstance(payload, dict) or "dataset" not in payload:
-                raise RequestValidationError(
-                    "invalidate requires a JSON object with a 'dataset' field"
-                )
-            unknown = set(payload) - {"dataset", "table", "row_id"}
-            if unknown:
-                raise RequestValidationError(
-                    f"unknown field(s) {sorted(unknown)} in invalidate request"
-                )
-            return self.invalidate(
-                payload["dataset"], payload.get("table"), payload.get("row_id")
-            )
+            return self.invalidate(decode_invalidate_request(payload))
         if endpoint == "/v1/admin/reload":
-            if not isinstance(payload, dict) or "dataset" not in payload:
-                raise RequestValidationError(
-                    "reload requires a JSON object with a 'dataset' field"
-                )
-            return self.reload(payload["dataset"])
+            return self.reload(decode_reload_request(payload))
         raise UnknownEndpointError(endpoint)
 
     def dispatch_safe(

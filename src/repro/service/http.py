@@ -59,7 +59,6 @@ Reliability and observability hooks:
 from __future__ import annotations
 
 import json
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
@@ -407,28 +406,3 @@ def create_server(
         verbose=verbose,
         middleware=middleware,
     )
-
-
-def serve(
-    deployment: Deployment,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8077,
-    verbose: bool = False,
-    middleware: "MiddlewareConfig | MiddlewarePipeline | None" = None,
-    ready: "threading.Event | None" = None,
-) -> None:
-    """Blocking convenience: bind and serve until interrupted.
-
-    ``ready`` (if given) is set once the socket is bound — the hook
-    in-process callers use to know the ephemeral port is readable.
-    """
-    server = create_server(
-        deployment, host=host, port=port, verbose=verbose, middleware=middleware
-    )
-    if ready is not None:
-        ready.set()
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()

@@ -117,7 +117,7 @@ def decode_options(payload: object, *, defaults: QueryOptions | None = None) -> 
     """
     base = defaults if defaults is not None else QueryOptions()
     if payload is None:
-        return base.normalized()
+        return base
     payload = _require_mapping(payload, "options")
     _reject_unknown(payload, _OPTION_FIELDS, "options")
     changes: dict[str, Any] = {
@@ -129,7 +129,7 @@ def decode_options(payload: object, *, defaults: QueryOptions | None = None) -> 
             f"options.l {size} exceeds the wire limit of {MAX_WIRE_L}"
         )
     try:
-        return base.replace(**changes).normalized()
+        return base.replace(**changes)
     except SummaryError as exc:
         raise RequestValidationError(f"invalid options: {exc}") from exc
 
@@ -522,6 +522,56 @@ def decode_watch_cancel_request(payload: object) -> WatchCancelRequest:
         dataset=_decode_dataset(payload, "watch cancel request"),
         watch_id=_decode_watch_id(payload, "watch cancel request", required=True),
     )
+
+
+# --------------------------------------------------------------------- #
+# Admin requests
+# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class InvalidateRequest:
+    """Drop a dataset's cached OSs: all of them, one table's, or one row's."""
+
+    dataset: str
+    table: str | None = None
+    row_id: int | None = None
+
+
+@dataclass(frozen=True)
+class ReloadRequest:
+    """Re-open a dataset's snapshot directory and hot-swap its disk tier."""
+
+    dataset: str
+
+
+_INVALIDATE_FIELDS = ("protocol_version", "dataset", "table", "row_id")
+_RELOAD_FIELDS = ("protocol_version", "dataset")
+
+
+def decode_invalidate_request(payload: object) -> InvalidateRequest:
+    payload = _require_mapping(payload, "invalidate request")
+    _check_version(payload, "invalidate request")
+    _reject_unknown(payload, _INVALIDATE_FIELDS, "invalidate request")
+    dataset = _decode_dataset(payload, "invalidate request")
+    table = payload.get("table")
+    if table is not None and not isinstance(table, str):
+        raise RequestValidationError(f"field 'table' must be a string, got {table!r}")
+    row_id = payload.get("row_id")
+    if row_id is not None:
+        row_id = _int_field(row_id, "row_id")
+        if table is None:
+            # row ids are only unique per table: never a silent full clear
+            raise RequestValidationError(
+                "invalidate(row_id=...) requires rds_table; row ids are "
+                "only unique within a table"
+            )
+    return InvalidateRequest(dataset=dataset, table=table, row_id=row_id)
+
+
+def decode_reload_request(payload: object) -> ReloadRequest:
+    payload = _require_mapping(payload, "reload request")
+    _check_version(payload, "reload request")
+    _reject_unknown(payload, _RELOAD_FIELDS, "reload request")
+    return ReloadRequest(dataset=_decode_dataset(payload, "reload request"))
 
 
 _REQUEST_DECODERS = {

@@ -1,17 +1,23 @@
-"""Session — the high-level facade of the public API.
+"""Session — the one in-process query API.
 
 A :class:`Session` owns a :class:`~repro.core.engine.SizeLEngine` and an
 integrated :class:`~repro.core.cache.SummaryCache` (caching is a
 first-class engine concern here, not an external wrapper) and exposes the
 paper's end-to-end paradigm — keyword → t_DS matches → one size-l OS per
-match — in three shapes:
+match — in three shapes, all defaulting to ``QueryOptions()`` (Update
+Top-Path-l over a prelim-l OS):
 
 * :meth:`keyword_query` — the batch list (Example 5);
 * :meth:`iter_keyword_query` — a streaming generator that yields each
   :class:`~repro.core.engine.KeywordResult` as soon as its size-l OS is
   computed (the first result is available while later OSs are still being
   generated — the incremental delivery a production service needs);
-* :meth:`size_l_many` — batched subjects under one set of options.
+* :meth:`size_l` / :meth:`size_l_many` — one subject, or batched
+  subjects under one set of options.
+
+The engine keeps only the uncached pipeline stages (``engine.run`` under
+explicit options); ``Session(engine)`` is the one line that adds the
+defaults and the cache.
 
 Every call runs serially on the caller's thread.  A Session is safe to
 share between threads: concurrent requests meet in the thread-safe,
@@ -69,9 +75,7 @@ class Session:
             if not isinstance(snapshot, Snapshot):
                 snapshot = Snapshot.open(snapshot)
             self.cache.attach_snapshot(snapshot)
-        self.defaults = (
-            defaults if defaults is not None else QueryOptions()
-        ).normalized()
+        self.defaults = resolve_options(defaults, defaults=QueryOptions())
         # Live mutation state: created on first write / watch (lazily, so
         # read-only Sessions never build the delta overlays).
         self._live: "Any | None" = None
@@ -161,13 +165,20 @@ class Session:
     ) -> Iterator[KeywordResult]:
         """Stream keyword-query results as each size-l OS is computed.
 
-        Options are validated eagerly; computation is lazy and cached:
-        nothing is computed until the stream is consumed."""
+        Options are checked at the call; everything else is lazy and
+        cached: nothing runs, not even the keyword search, until the
+        stream is consumed, and each result is yielded before the next
+        match's OS is generated."""
         opts = resolve_options(
             options, defaults=self.defaults, l=l, max_results=max_results
         )
-        # the engine's loop, with the cached pipeline substituted in
-        return self.engine._iter_keyword_query(keywords, opts, run=self.cache.run)
+
+        def stream() -> Iterator[KeywordResult]:
+            for match in self.engine.search_matches(keywords, opts):
+                result = self.cache.run(match.table, match.row_id, opts)
+                yield KeywordResult(match=match, result=result)
+
+        return stream()
 
     def keyword_query(
         self,

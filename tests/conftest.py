@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.engine import SizeLEngine
+from repro.core.options import QueryOptions, Source
 from repro.core.os_tree import FlatOS
+from repro.core.registry import ALGORITHM_REGISTRY, get_algorithm
 from repro.datasets.dblp import DBLPDataset, small_dblp
 from repro.datasets.tpch import TPCHDataset, small_tpch
 from repro.ranking.objectrank import compute_objectrank
@@ -69,6 +71,17 @@ def tpch_engine(tpch: TPCHDataset, tpch_store: ImportanceStore) -> SizeLEngine:
         {"customer": tpch.customer_gds(), "supplier": tpch.supplier_gds()},
         tpch_store,
     )
+
+
+@pytest.fixture
+def orphaned_options() -> QueryOptions:
+    """Complete-source options naming an algorithm that was unregistered
+    after they were built: the one way an invalid name reaches a run."""
+    ALGORITHM_REGISTRY.register("orphan", get_algorithm("top_path"))
+    try:
+        return QueryOptions(l=5, algorithm="orphan", source=Source.COMPLETE)
+    finally:
+        ALGORITHM_REGISTRY.unregister("orphan")
 
 
 # --------------------------------------------------------------------- #

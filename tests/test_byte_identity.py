@@ -278,6 +278,26 @@ class TestPinnedBodies:
         assert error["type"] == "RequestValidationError"
         assert "wire limit" in error["message"]
 
+    def test_400_strict_admin_bodies(self, single_http, cluster_http) -> None:
+        """Admin bodies decode as strictly as every other POST body: an
+        ill-typed field is a 400, never a 200 that invalidates nothing
+        (``"1"``) or the wrong row (``True == 1``)."""
+        for endpoint, body in (
+            ("/v1/admin/invalidate", {"dataset": "dblp", "table": "author", "row_id": "1"}),
+            ("/v1/admin/invalidate", {"dataset": "dblp", "table": 5}),
+            ("/v1/admin/invalidate", {"dataset": "dblp", "table": "author", "row_id": True}),
+            ("/v1/admin/invalidate", {"dataset": "dblp", "row_id": 1}),
+            ("/v1/admin/reload", {"dataset": "dblp", "scope": "all"}),
+        ):
+            replies = both(single_http, cluster_http, endpoint, body)
+            assert_identical(*replies, 400)
+            error = json.loads(replies[0][2])["error"]
+            assert error["type"] == "RequestValidationError"
+        # protocol_version rides along as on every other POST endpoint
+        body = {"protocol_version": 1, "dataset": "dblp", "table": "author", "row_id": 1}
+        replies = both(single_http, cluster_http, "/v1/admin/invalidate", body)
+        assert_identical(*replies, 200)
+
     def test_400_stale_cursor(self, single_http, cluster_http) -> None:
         payload = {
             "dataset": "dblp",

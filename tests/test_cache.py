@@ -109,10 +109,11 @@ class TestSizeLMemo:
         assert a is not b and a is not c
         assert cache.cached_results == 3
 
-    def test_unknown_algorithm(self, dblp_engine) -> None:
+    def test_unknown_algorithm(self, dblp_engine, orphaned_options) -> None:
         cache = SummaryCache(dblp_engine)
-        with pytest.raises(SummaryError):
-            cache.run("author", 1, complete(5, algorithm="magic"))
+        with pytest.raises(SummaryError, match="unknown algorithm 'orphan'"):
+            cache.run("author", 1, orphaned_options)
+        assert cache.cached_results == 0
 
     def test_eviction_drops_memoised_results(self, dblp_engine) -> None:
         cache = SummaryCache(dblp_engine, max_subjects=1)

@@ -14,6 +14,7 @@ from repro.core.engine import SizeLEngine
 from repro.core.options import QueryOptions
 from repro.datasets.dblp import small_dblp
 from repro.ranking.objectrank import compute_objectrank
+from repro.session import Session
 
 
 @pytest.fixture(scope="module")
@@ -64,15 +65,15 @@ class TestDeterminism:
     def test_size_l_selection_identical(self, twin_engines, algorithm) -> None:
         a, b = twin_engines
         options = QueryOptions(l=12, algorithm=algorithm, source="complete")
-        ra = a.size_l("author", 0, options=options)
-        rb = b.size_l("author", 0, options=options)
+        ra = a.run("author", 0, options)
+        rb = b.run("author", 0, options)
         assert ra.selected_uids == rb.selected_uids
         assert ra.importance == pytest.approx(rb.importance)
 
     def test_keyword_query_order_identical(self, twin_engines) -> None:
         a, b = twin_engines
-        ra = a.keyword_query("Faloutsos", l=6)
-        rb = b.keyword_query("Faloutsos", l=6)
+        ra = Session(a).keyword_query("Faloutsos", l=6)
+        rb = Session(b).keyword_query("Faloutsos", l=6)
         assert [(e.match.table, e.match.row_id) for e in ra] == [
             (e.match.table, e.match.row_id) for e in rb
         ]
@@ -80,6 +81,6 @@ class TestDeterminism:
     def test_same_engine_repeat_is_stable(self, twin_engines) -> None:
         engine = twin_engines[0]
         options = QueryOptions(l=9, algorithm="top_path", source="complete")
-        first = engine.size_l("author", 1, options=options)
-        second = engine.size_l("author", 1, options=options)
+        first = engine.run("author", 1, options)
+        second = engine.run("author", 1, options)
         assert first.selected_uids == second.selected_uids

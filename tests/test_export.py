@@ -33,9 +33,7 @@ class TestSummaryExport:
 
 class TestResultExport:
     def test_round_trips_through_json(self, dblp_engine) -> None:
-        result = dblp_engine.size_l(
-            "author", 0, options=QueryOptions(l=8, source="prelim")
-        )
+        result = dblp_engine.run("author", 0, QueryOptions(l=8, source="prelim"))
         text = result_to_json(result)
         decoded = json.loads(text)
         assert decoded["l"] == 8
@@ -44,9 +42,7 @@ class TestResultExport:
         assert decoded["summary"]["size"] == 8
 
     def test_non_json_stats_stringified(self, dblp_engine) -> None:
-        result = dblp_engine.size_l(
-            "author", 0, options=QueryOptions(l=5, source="prelim")
-        )
+        result = dblp_engine.run("author", 0, QueryOptions(l=5, source="prelim"))
         payload = result_to_dict(result)
         assert isinstance(payload["stats"]["prelim"], str)  # PrelimStats repr
         assert payload["stats"]["source"] == "prelim"
@@ -58,7 +54,7 @@ class TestResultExport:
         }
 
     def test_importance_matches(self, dblp_engine) -> None:
-        result = dblp_engine.size_l("author", 1, 6)
+        result = dblp_engine.run("author", 1, QueryOptions(l=6, source="complete"))
         payload = result_to_dict(result)
         total = payload["summary"]["total_importance"]
         assert abs(total - result.importance) < 1e-9

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.options import QueryOptions
 from repro.core.snippet import word_budget_summary
 from repro.core.topk import rank_by_summary_importance, rank_data_subjects
 from repro.errors import SummaryError
@@ -48,7 +49,7 @@ class TestTopK:
 
     def test_rank_by_summary_importance(self, dblp_engine) -> None:
         matches = dblp_engine.searcher.search("Faloutsos")
-        ranked = rank_by_summary_importance(dblp_engine, matches, l=10, k=3)
+        ranked = rank_by_summary_importance(dblp_engine, matches, QueryOptions(l=10), k=3)
         importances = [result.importance for _match, result in ranked]
         assert importances == sorted(importances, reverse=True)
         assert all(result.size == 10 for _match, result in ranked)
@@ -59,6 +60,7 @@ class TestTopK:
         matches = dblp_engine.searcher.search("Faloutsos")
         by_subject = [m.row_id for m in rank_data_subjects(matches)]
         by_summary = [
-            m.row_id for m, _r in rank_by_summary_importance(dblp_engine, matches, l=5)
+            m.row_id
+            for m, _r in rank_by_summary_importance(dblp_engine, matches, QueryOptions(l=5))
         ]
         assert sorted(by_subject) == sorted(by_summary)

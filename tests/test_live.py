@@ -25,6 +25,7 @@ import pytest
 
 from repro.core.engine import SizeLEngine
 from repro.core.generation import DataGraphBackend
+from repro.core.options import QueryOptions, Source
 from repro.core.os_tree import FlatOS, OSNode
 from repro.datasets.dblp import small_dblp
 from repro.db.index import HashIndex
@@ -257,7 +258,7 @@ class TestIncrementalEqualsRebuild:
         self, mutated_session, rebuilt
     ) -> None:
         live = mutated_session.keyword_query(KEYWORDS, l=8)
-        fresh = rebuilt.keyword_query(KEYWORDS, l=8)
+        fresh = Session(rebuilt).keyword_query(KEYWORDS, l=8)
         assert len(live) == len(fresh) > 0
         for a, b in zip(live, fresh):
             assert (a.match.table, a.match.row_id) == (b.match.table, b.match.row_id)
@@ -269,12 +270,13 @@ class TestIncrementalEqualsRebuild:
         self, mutated_session, rebuilt
     ) -> None:
         # author 5 (updated), paper 2 (updated + new join edge),
-        # author 17 (untouched control)
-        for subject in [("author", 5), ("paper", 2), ("author", 17)]:
-            live = mutated_session.size_l(*subject, l=6)
-            fresh = rebuilt.size_l(*subject, l=6)
-            assert live.importance == pytest.approx(fresh.importance)
-            assert canonical(live.summary.root) == canonical(fresh.summary.root)
+        # author 17 (untouched control); each pipeline against itself
+        for options in (QueryOptions(l=6), QueryOptions(l=6, source=Source.COMPLETE)):
+            for subject in [("author", 5), ("paper", 2), ("author", 17)]:
+                live = mutated_session.size_l(*subject, options=options)
+                fresh = rebuilt.run(*subject, options)
+                assert live.importance == pytest.approx(fresh.importance)
+                assert canonical(live.summary.root) == canonical(fresh.summary.root)
 
     def test_complete_os_equal(self, mutated_session, rebuilt) -> None:
         live = mutated_session.complete_os("author", 5).to_object_summary()

@@ -1,5 +1,5 @@
-"""Tests for the typed options layer: QueryOptions validation,
-resolve_options, and the ResultStats record."""
+"""Tests for the typed options layer: QueryOptions validation at
+construction, resolve_options, and the ResultStats record."""
 
 from __future__ import annotations
 
@@ -18,16 +18,14 @@ from repro.errors import InvalidSizeError, SummaryError
 
 class TestQueryOptionsValidation:
     def test_defaults_follow_the_paper_pipeline(self) -> None:
-        opts = QueryOptions().normalized()
+        opts = QueryOptions()
         assert opts.l == 10
         assert opts.algorithm is Algorithm.TOP_PATH
         assert opts.source is Source.PRELIM
         assert opts.backend is Backend.DATAGRAPH
 
     def test_strings_coerce_to_enums(self) -> None:
-        opts = QueryOptions(
-            algorithm="dp", source="complete", backend="database"
-        ).normalized()
+        opts = QueryOptions(algorithm="dp", source="complete", backend="database")
         assert opts.algorithm is Algorithm.DP
         assert opts.source is Source.COMPLETE
         assert opts.backend is Backend.DATABASE
@@ -35,37 +33,48 @@ class TestQueryOptionsValidation:
     @pytest.mark.parametrize("bad_l", [0, -3, 2.5, True, "10", None])
     def test_bad_l_uniform_message(self, bad_l: object) -> None:
         with pytest.raises(InvalidSizeError, match="positive integer"):
-            QueryOptions(l=bad_l).normalized()  # type: ignore[arg-type]
+            QueryOptions(l=bad_l)  # type: ignore[arg-type]
 
     def test_unknown_algorithm_lists_choices(self) -> None:
         with pytest.raises(SummaryError, match="unknown algorithm 'magic'"):
-            QueryOptions(algorithm="magic").normalized()
+            QueryOptions(algorithm="magic")
 
     def test_unknown_source(self) -> None:
         with pytest.raises(SummaryError, match="unknown source"):
-            QueryOptions(source="partial").normalized()
+            QueryOptions(source="partial")
 
     def test_unknown_backend(self) -> None:
         with pytest.raises(SummaryError, match="unknown backend"):
-            QueryOptions(backend="ramdisk").normalized()
+            QueryOptions(backend="ramdisk")
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
     def test_bad_max_results(self, bad: object) -> None:
         with pytest.raises(SummaryError, match="max_results"):
-            QueryOptions(max_results=bad).normalized()  # type: ignore[arg-type]
+            QueryOptions(max_results=bad)  # type: ignore[arg-type]
 
     @pytest.mark.parametrize("bad", [-1, 2.5, True])
     def test_bad_depth_limit(self, bad: object) -> None:
         with pytest.raises(SummaryError, match="depth_limit"):
-            QueryOptions(depth_limit=bad).normalized()  # type: ignore[arg-type]
+            QueryOptions(depth_limit=bad)  # type: ignore[arg-type]
 
     def test_non_string_algorithm_rejected(self) -> None:
         with pytest.raises(SummaryError, match="algorithm"):
-            QueryOptions(algorithm=42).normalized()  # type: ignore[arg-type]
+            QueryOptions(algorithm=42)  # type: ignore[arg-type]
 
-    def test_normalized_is_idempotent(self) -> None:
-        once = QueryOptions(algorithm="top_path", source="prelim").normalized()
-        assert once.normalized() == once
+    def test_invalid_options_cannot_be_constructed(self) -> None:
+        # construction, replace() and wire decoding all validate, so every
+        # QueryOptions that exists is valid
+        with pytest.raises(InvalidSizeError, match="positive integer"):
+            QueryOptions(l=0)
+        with pytest.raises(SummaryError, match="unknown algorithm 'magic'"):
+            QueryOptions(algorithm="magic")
+        with pytest.raises(SummaryError, match="max_results"):
+            QueryOptions().replace(max_results=0)
+
+    def test_replace_canonicalises(self) -> None:
+        opts = QueryOptions().replace(algorithm="dp", backend="database")
+        assert opts.algorithm is Algorithm.DP
+        assert opts.backend is Backend.DATABASE
 
     def test_frozen(self) -> None:
         with pytest.raises(Exception):
@@ -77,9 +86,7 @@ class TestQueryOptionsValidation:
         assert base.l == 5 and bumped.l == 9
 
     def test_canonical_names_and_cache_key(self) -> None:
-        opts = QueryOptions(
-            l=7, algorithm=Algorithm.DP, source=Source.COMPLETE
-        ).normalized()
+        opts = QueryOptions(l=7, algorithm=Algorithm.DP, source=Source.COMPLETE)
         assert opts.algorithm_name == "dp"
         assert opts.source_name == "complete"
         assert opts.backend_name == "datagraph"
@@ -106,7 +113,7 @@ class TestResolveOptionsShim:
 
     def test_defaults_pass_through(self) -> None:
         opts = resolve_options(None, defaults=self.DEFAULTS)
-        assert opts == self.DEFAULTS.normalized()
+        assert opts is self.DEFAULTS
 
 
 class TestResultStatsMapping:

@@ -467,11 +467,11 @@ class TestDiskTierServing:
         self, dblp_engine, dblp_snapshot
     ) -> None:
         cache = SummaryCache(dblp_engine, snapshot=dblp_snapshot)
-        result = cache.run("author", 2, COMPLETE.normalized())
+        result = cache.run("author", 2, COMPLETE)
         stats = cache.stats()
         assert stats.disk_hits == 1
         assert stats.tree_generations == 0
-        fresh = dblp_engine.run("author", 2, COMPLETE.normalized())
+        fresh = dblp_engine.run("author", 2, COMPLETE)
         assert result.selected_uids == fresh.selected_uids
         assert result.importance == pytest.approx(fresh.importance)
 

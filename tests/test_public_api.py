@@ -29,20 +29,16 @@ class TestReadmeQuickstart:
     """The exact code shown in the README must run."""
 
     def test_quickstart_snippet(self) -> None:
-        from repro.core import SizeLEngine
+        from repro import QueryOptions, Session
         from repro.datasets.dblp import small_dblp
-        from repro.ranking import compute_objectrank
 
-        data = small_dblp()
-        store = compute_objectrank(data.db, data.ga1())
-        engine = SizeLEngine(
-            data.db,
-            {"author": data.author_gds(), "paper": data.paper_gds()},
-            store,
+        session = Session.from_dataset(small_dblp())
+        results = list(
+            session.iter_keyword_query("Faloutsos", options=QueryOptions(l=15))
         )
-        results = engine.keyword_query("Faloutsos", l=15)
         assert len(results) == 3
         for entry in results:
+            assert entry.result.size == 15
             assert entry.result.render()
 
     def test_lower_level_entry_points(self, dblp_engine) -> None:
@@ -52,8 +48,8 @@ class TestReadmeQuickstart:
         assert os_tree.size > 0
         prelim, stats = dblp_engine.prelim_os("author", 0, l=10)
         assert prelim.size >= 10
-        result = dblp_engine.size_l(
-            "author", 0, options=QueryOptions(l=10, algorithm="top_path", source="prelim")
+        result = dblp_engine.run(
+            "author", 0, QueryOptions(l=10, algorithm="top_path", source="prelim")
         )
         assert result.size == 10
 

@@ -105,10 +105,8 @@ class TestAlgorithmPluginEndToEnd:
     """A third-party algorithm is selectable without touching repro source."""
 
     def test_engine_size_l(self, dblp_engine, first_l_plugin) -> None:
-        result = dblp_engine.size_l(
-            "author",
-            0,
-            options=QueryOptions(l=5, algorithm="first_l", source=Source.COMPLETE),
+        result = dblp_engine.run(
+            "author", 0, QueryOptions(l=5, algorithm="first_l", source=Source.COMPLETE)
         )
         assert result.size == 5
         assert result.algorithm == "first_l"
@@ -158,12 +156,10 @@ class TestBackendPluginEndToEnd:
             return backend
 
         try:
-            result = dblp_engine.size_l(
+            result = dblp_engine.run(
                 "author",
                 0,
-                options=QueryOptions(
-                    l=5, source=Source.COMPLETE, backend="recording_datagraph"
-                ),
+                QueryOptions(l=5, source=Source.COMPLETE, backend="recording_datagraph"),
             )
             assert created, "factory was never invoked"
             assert result.stats.backend == "recording_datagraph"
@@ -172,7 +168,12 @@ class TestBackendPluginEndToEnd:
             BACKEND_REGISTRY.unregister("recording_datagraph")
 
     def test_unknown_backend_message(self, dblp_engine) -> None:
-        with pytest.raises(SummaryError, match="unknown backend"):
-            dblp_engine.size_l(
-                "author", 0, options=QueryOptions(l=5, backend="ramdisk")
-            )
+        # options are checked when built, so an unknown backend reaches a
+        # run only by being unregistered afterwards
+        register_backend("ramdisk", BACKEND_REGISTRY.get("datagraph"))
+        try:
+            options = QueryOptions(l=5, backend="ramdisk")
+        finally:
+            BACKEND_REGISTRY.unregister("ramdisk")
+        with pytest.raises(SummaryError, match="unknown backend 'ramdisk'"):
+            dblp_engine.run("author", 0, options)

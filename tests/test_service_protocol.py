@@ -61,7 +61,7 @@ query_requests = st.builds(
     keywords=st.lists(st.text(min_size=1, max_size=12), min_size=1, max_size=4).map(
         tuple
     ),
-    options=query_options.map(lambda o: o.normalized()),
+    options=query_options,
     cursor=st.one_of(st.none(), cursors),
     page_size=st.one_of(st.none(), st.integers(min_value=1, max_value=100)),
 )
@@ -71,7 +71,7 @@ size_l_requests = st.builds(
     dataset=st.sampled_from(["dblp", "tpch"]),
     table=st.sampled_from(["author", "customer"]),
     row_id=st.integers(min_value=0, max_value=10_000),
-    options=query_options.map(lambda o: o.normalized()),
+    options=query_options,
 )
 
 batch_requests = st.builds(
@@ -84,7 +84,7 @@ batch_requests = st.builds(
         min_size=1,
         max_size=5,
     ).map(tuple),
-    options=query_options.map(lambda o: o.normalized()),
+    options=query_options,
 )
 
 result_entries = st.builds(
@@ -131,8 +131,7 @@ class TestRoundTrips:
     @settings(max_examples=60, deadline=None)
     @given(options=query_options)
     def test_options_roundtrip_is_identity(self, options: QueryOptions) -> None:
-        normalized = options.normalized()
-        assert decode_options(normalized.as_dict()) == normalized
+        assert decode_options(options.as_dict()) == options
 
     @settings(max_examples=60, deadline=None)
     @given(cursor=cursors)
@@ -163,7 +162,7 @@ class TestRoundTrips:
 
     def test_decode_request_dispatches_by_kind(self) -> None:
         body = encode_request(
-            QueryRequest("dblp", ("x",), QueryOptions().normalized())
+            QueryRequest("dblp", ("x",), QueryOptions())
         )
         assert isinstance(decode_request("query", body), QueryRequest)
         with pytest.raises(RequestValidationError, match="unknown request kind"):
@@ -311,7 +310,7 @@ class TestValidation:
             )
 
     def test_defaults_seed_decode(self) -> None:
-        defaults = QueryOptions(l=33).normalized()
+        defaults = QueryOptions(l=33)
         decoded = decode_query_request(
             {"dataset": "dblp", "keywords": ["x"]}, defaults=defaults
         )

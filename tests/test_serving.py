@@ -225,7 +225,7 @@ class TestHammer:
         options = QueryOptions(l=5, source=Source.COMPLETE)
         reference = {
             row: frozenset(
-                dblp_engine.run("author", row, options.normalized()).selected_uids
+                dblp_engine.run("author", row, options).selected_uids
             )
             for row in range(8)
         }

@@ -8,7 +8,6 @@ import inspect
 
 import pytest
 
-from repro.core.cache import SummaryCache
 from repro.core.options import Algorithm, QueryOptions, Source
 from repro.errors import InvalidSizeError, SummaryError
 from repro.session import Session
@@ -85,44 +84,38 @@ class TestSessionBasics:
 class TestStreamingLaziness:
     def test_first_result_before_later_os_generated(self, dblp_engine) -> None:
         session = Session(dblp_engine)
+        searched: list[object] = []
         computed: list[tuple[str, int]] = []
-        original = session.cache.run
+        original_search = dblp_engine.search_matches
+        original_run = session.cache.run
+
+        def counting_search(keywords, options):
+            searched.append(keywords)
+            return original_search(keywords, options)
 
         def counting_run(rds_table, row_id, options):
             computed.append((rds_table, row_id))
-            return original(rds_table, row_id, options)
+            return original_run(rds_table, row_id, options)
 
+        dblp_engine.search_matches = counting_search  # type: ignore[method-assign]
         session.cache.run = counting_run  # type: ignore[method-assign]
-        stream = session.iter_keyword_query("Faloutsos", l=5)
-        assert computed == []  # nothing computed until consumed
-        first = next(stream)
-        assert first.result.size == 5
-        assert len(computed) == 1  # later OSs not yet generated
-        rest = list(stream)
-        assert len(computed) == 1 + len(rest)
-
-    def test_engine_iterator_is_also_lazy(self, dblp_engine) -> None:
-        computed: list[int] = []
-        original = dblp_engine.run
-
-        def counting_run(rds_table, row_id, options):
-            computed.append(row_id)
-            return original(rds_table, row_id, options)
-
-        dblp_engine.run = counting_run  # type: ignore[method-assign]
         try:
-            stream = dblp_engine.iter_keyword_query("Faloutsos", l=5)
-            next(stream)
-            assert len(computed) == 1
+            stream = session.iter_keyword_query("Faloutsos", l=5)
+            # nothing runs until consumed, not even the keyword search
+            assert searched == [] and computed == []
+            first = next(stream)
+            assert first.result.size == 5
+            assert len(searched) == 1
+            assert len(computed) == 1  # later OSs not yet generated
+            rest = list(stream)
+            assert len(computed) == 1 + len(rest)
         finally:
-            del dblp_engine.run
+            del dblp_engine.search_matches
 
     def test_options_validated_eagerly(self, session: Session) -> None:
-        # the error surfaces at call time, not on first next()
-        with pytest.raises(SummaryError, match="unknown algorithm"):
-            session.iter_keyword_query(
-                "Faloutsos", options=QueryOptions(algorithm="magic")
-            )
+        # a bad per-call knob surfaces at call time, not on first next()
+        with pytest.raises(SummaryError, match="max_results"):
+            session.iter_keyword_query("Faloutsos", max_results=0)
 
     def test_batch_equals_stream(self, session: Session) -> None:
         batch = session.keyword_query("Faloutsos", l=7)
@@ -131,34 +124,17 @@ class TestStreamingLaziness:
 
 
 class TestValidationBeforeGeneration:
-    """A bad algorithm name must never cost an OS generation (the old
-    SummaryCache.size_l generated the complete OS before validating)."""
-
-    def test_cache_validates_before_generating(self, dblp_engine) -> None:
-        cache = SummaryCache(dblp_engine)
-        generated: list[tuple[str, int]] = []
-        original = dblp_engine.complete_os
-
-        def counting_complete_os(rds_table, row_id, *args, **kwargs):
-            generated.append((rds_table, row_id))
-            return original(rds_table, row_id, *args, **kwargs)
-
-        dblp_engine.complete_os = counting_complete_os  # type: ignore[method-assign]
-        try:
-            with pytest.raises(SummaryError, match="unknown algorithm"):
-                cache.run(
-                    "author",
-                    1,
-                    QueryOptions(l=5, algorithm="magic", source=Source.COMPLETE),
-                )
-            assert generated == []
-        finally:
-            del dblp_engine.complete_os
+    """A bad knob must never cost an OS generation: a QueryOptions checks
+    itself when built, and a Session checks its per-call knobs before the
+    cache runs."""
 
     def test_session_validates_before_generating(self, dblp_engine) -> None:
         session = Session(dblp_engine)
-        with pytest.raises(SummaryError, match="unknown backend"):
-            session.size_l("author", 1, options=QueryOptions(backend="tape"))
+        calls: list[tuple[str, int]] = []
+        session.cache.run = lambda t, r, o: calls.append((t, r))  # type: ignore[method-assign]
+        with pytest.raises(InvalidSizeError, match="positive integer"):
+            session.size_l("author", 1, l=0)
+        assert calls == []
 
 
 class TestUniformLValidation:
@@ -166,17 +142,9 @@ class TestUniformLValidation:
 
     MESSAGE = "positive integer"
 
-    def test_engine_size_l(self, dblp_engine) -> None:
-        with pytest.raises(InvalidSizeError, match=self.MESSAGE):
-            dblp_engine.size_l("author", 0, l=0)
-
     def test_engine_prelim_os(self, dblp_engine) -> None:
         with pytest.raises(InvalidSizeError, match=self.MESSAGE):
             dblp_engine.prelim_os("author", 0, l=0)
-
-    def test_engine_keyword_query(self, dblp_engine) -> None:
-        with pytest.raises(InvalidSizeError, match=self.MESSAGE):
-            dblp_engine.keyword_query("Faloutsos", l=-2)
 
     def test_session_size_l(self, session: Session) -> None:
         with pytest.raises(InvalidSizeError, match=self.MESSAGE):
@@ -185,12 +153,6 @@ class TestUniformLValidation:
     def test_session_iter_keyword_query(self, session: Session) -> None:
         with pytest.raises(InvalidSizeError, match=self.MESSAGE):
             session.iter_keyword_query("Faloutsos", l=0)
-
-    def test_cache_size_l(self, dblp_engine) -> None:
-        with pytest.raises(InvalidSizeError, match=self.MESSAGE):
-            SummaryCache(dblp_engine).run(
-                "author", 0, QueryOptions(l=0, source=Source.COMPLETE)
-            )
 
     def test_cli_query(self, capsys) -> None:
         from repro.cli import main
@@ -212,31 +174,25 @@ class TestCacheBounds:
         assert session.cache.cached_results <= 2
 
     def test_depth_limit_honoured_for_prelim_source(self, dblp_engine) -> None:
-        limited = dblp_engine.size_l(
-            "author",
-            0,
-            options=QueryOptions(l=3, source=Source.PRELIM, depth_limit=0),
+        limited = dblp_engine.run(
+            "author", 0, QueryOptions(l=3, source=Source.PRELIM, depth_limit=0)
         )
-        free = dblp_engine.size_l(
-            "author", 0, options=QueryOptions(l=3, source=Source.PRELIM)
-        )
+        free = dblp_engine.run("author", 0, QueryOptions(l=3, source=Source.PRELIM))
         assert limited.stats.initial_os_size < free.stats.initial_os_size
 
 
 class TestDeprecationShims:
-    def test_non_queryoptions_options_rejected_clearly(self, dblp_engine) -> None:
+    def test_non_queryoptions_options_rejected_clearly(self, session: Session) -> None:
         with pytest.raises(SummaryError, match="must be a QueryOptions"):
-            dblp_engine.size_l("author", 0, options=42)  # type: ignore[arg-type]
+            session.size_l("author", 0, options=42)  # type: ignore[arg-type]
         # the pre-QueryOptions positional algorithm: size_l(table, row, l, "dp")
         with pytest.raises(SummaryError, match="must be a QueryOptions"):
-            dblp_engine.size_l("author", 0, 6, "dp")  # type: ignore[arg-type]
+            session.size_l("author", 0, 6, "dp")  # type: ignore[arg-type]
 
     def test_options_and_legacy_kwargs_conflict(self, session: Session) -> None:
         # no query method takes the pre-QueryOptions algorithm=/source=/
         # backend= kwargs, with or without options=
-        engine = session.engine
         methods = (
-            engine.size_l, engine.keyword_query, engine.iter_keyword_query,
             session.size_l, session.size_l_many, session.keyword_query,
             session.iter_keyword_query,
         )
@@ -244,6 +200,6 @@ class TestDeprecationShims:
             params = inspect.signature(method).parameters
             assert not {"algorithm", "source", "backend"} & set(params), method
         with pytest.raises(TypeError, match="unexpected keyword"):
-            engine.size_l(
+            session.size_l(
                 "author", 0, options=QueryOptions(), algorithm="dp"
             )  # type: ignore[call-arg]

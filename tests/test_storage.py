@@ -50,7 +50,7 @@ def _session(seed: int):
 
 
 def _renders(session, keywords, **options):
-    opts = QueryOptions(**options).normalized()
+    opts = QueryOptions(**options)
     return [
         (e.match.table, e.match.row_id, e.result.render())
         for e in session.keyword_query(keywords, options=opts)
@@ -214,7 +214,7 @@ class TestSqliteBackendEquality:
         qi = session.engine.query_interface
         qi.reset_counters()
         session.keyword_query(
-            ["Faloutsos"], options=QueryOptions(l=8, backend="sqlite").normalized()
+            ["Faloutsos"], options=QueryOptions(l=8, backend="sqlite")
         )
         assert qi.io_accesses > 0
         assert qi.rows_fetched > 0
@@ -458,6 +458,15 @@ class TestStorageCLI:
         )
         assert code == EXIT_ERROR
         assert "--shards" in capsys.readouterr().err
+
+    def test_pool_bytes_with_shards_rejected(self, capsys) -> None:
+        # the workers would serve fully resident and report zero pool counters
+        code = main(
+            ["serve", "--pool-bytes", "65536", "--shards", "2", "--port", "0"]
+        )
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "--pool-bytes" in err and "--shards" in err
 
     def test_precompute_and_pool_over_db(self, tmp_path, capsys) -> None:
         db_path = tmp_path / "ds.sqlite"
